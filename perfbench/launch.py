@@ -1,9 +1,12 @@
 """Start a ``repro`` CLI command (``worker`` or ``serve``) for the benchmark.
 
-Usage: ``python perfbench/launch.py OUT.json TRACE -- <repro cli args>``
+Usage: ``python perfbench/launch.py OUT.json TRACE PIN -- <repro cli args>``
 
 Imports ``repro`` from the checkout's ``src``, installs the span wrappers
-when ``TRACE`` is ``1``, then hands over to ``repro.cli.main``.  The process
+when ``TRACE`` is ``1``, then hands over to ``repro.cli.main``.  With ``PIN``
+``1`` the command's threads run on the lowest CPU the process may use (see
+``pin_cpu``); numpy, and with it the BLAS thread pool, is imported first, so
+BLAS keeps its default threads and CPUs.  The process
 writes ``OUT.json`` (its spans and peak RSS) on SIGUSR1 and keeps serving, or
 on SIGTERM and exits, so the benchmark can collect a server it is about to
 SIGKILL as well as a worker it stops.
@@ -22,10 +25,14 @@ sys.path.insert(0, str(HERE))
 
 
 def main() -> int:
-    out, trace, separator, *argv = sys.argv[1:]
-    if separator != "--" or trace not in ("0", "1"):
-        raise SystemExit("usage: launch.py OUT.json TRACE(0|1) -- REPRO_ARGS...")
-    from spans import Tracer, install_layers
+    out, trace, pin, separator, *argv = sys.argv[1:]
+    if separator != "--" or trace not in ("0", "1") or pin not in ("0", "1"):
+        raise SystemExit("usage: launch.py OUT.json TRACE(0|1) PIN(0|1) -- REPRO_ARGS...")
+    import numpy  # noqa: F401 - starts BLAS before any pinning
+    from spans import Tracer, install_layers, pin_cpu
+
+    if pin == "1":
+        pin_cpu()  # threads started from here on inherit it
 
     tracer = Tracer()
     if trace == "1":

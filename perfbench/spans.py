@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import resource
 import sys
 import threading
@@ -241,6 +242,14 @@ def _import_layers() -> dict:
         codec=codec, rpc=rpc, transport=transport, compiled=compiled, packed=packed,
         reference=reference, state=state, persistence=persistence, server=server,
     )
+
+
+def pin_cpu() -> set:
+    """Bind the calling thread (and the threads it starts later) to the
+    lowest CPU it may use; return the CPU set it had, for ``os.sched_setaffinity``."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    return allowed
 
 
 def install_probes(tracer: Tracer) -> None:
