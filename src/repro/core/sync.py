@@ -20,18 +20,21 @@ of the objects:
    convergence and starvation (:class:`SweepOutcome` feeds
    :meth:`repro.core.mgcpl.MGCPL._epoch_batch`).
 
-Everything here is transport-agnostic: :class:`InProcessShardExecutor` runs
-the shards serially in the calling process (the default execution path of
+Everything here is transport-agnostic.  :class:`ShardExecutor` is the one
+coordinator-side implementation of the protocol over an abstract per-shard
+map; :class:`InProcessShardExecutor` maps over in-process workers, runs the
+shards serially in the calling process (the default execution path of
 MGCPL, with a single shard), and doubles as the ``"serial"`` backend of the
 executor registry (:mod:`repro.distributed.transport`), whose other backends
 drive the same :class:`ShardWorker` objects inside worker processes
-(``"process"``) or behind ``repro worker`` TCP servers on other hosts
-(``"tcp"``, :mod:`repro.distributed.rpc`).  The one :class:`ShardWorker`
-implementation serves every transport.
+(``"process"``, ``"shm"``) or behind ``repro worker`` TCP servers on other
+hosts (``"tcp"``, :mod:`repro.distributed.resilience`).  The one
+:class:`ShardWorker` implementation serves every transport.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -369,7 +372,87 @@ class ShardWorker:
         return out
 
 
-class InProcessShardExecutor:
+class ShardExecutor(ABC):
+    """Coordinator-side half of the LocalUpdate/GlobalStep protocol.
+
+    Concrete backends provide :meth:`_map` (run one shard-local method on
+    every shard and gather the per-shard results in shard order); everything
+    the estimators call — the executor protocol proper — is implemented here
+    once: label scatter, :class:`~repro.engine.state.EngineState` merges and
+    the :class:`SweepOutcome` assembly.  It lives beside :class:`ShardWorker`
+    so the in-process reference executor below can subclass it;
+    :mod:`repro.distributed.transport` re-exports it with the backend
+    registry.
+    """
+
+    def __init__(self, shard_indices: Sequence[np.ndarray], n_objects: int) -> None:
+        self.shard_indices = [np.asarray(idx, dtype=np.int64) for idx in shard_indices]
+        self.n_objects = int(n_objects)
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.shard_indices)
+
+    @abstractmethod
+    def _map(self, method: str, per_shard_args=None, common: tuple = ()) -> list:
+        """Run one shard-local method on every shard; per-shard results in order."""
+
+    def _scatter(self, labels: Optional[np.ndarray]) -> list:
+        if labels is None:
+            return [(None,) for _ in self.shard_indices]
+        labels = np.asarray(labels, dtype=np.int64)
+        return [(labels[idx],) for idx in self.shard_indices]
+
+    # ------------------------------------------------------------------ #
+    # Executor protocol
+    # ------------------------------------------------------------------ #
+    def begin_epoch(self, n_clusters: int, labels: Optional[np.ndarray]) -> EngineState:
+        """Build the shard engines for ``n_clusters`` and merge the counts."""
+        args = [(n_clusters, shard_labels) for (shard_labels,) in self._scatter(labels)]
+        return EngineState.merge_all(self._map("begin_epoch", args))
+
+    def sweep(self, broadcast: SweepBroadcast) -> SweepOutcome:
+        """One global MGCPL sweep: shard-local competition + exact count merge."""
+        updates: List[ShardUpdate] = self._map("sweep", common=(broadcast,))
+        return SweepOutcome.from_updates(updates, self.shard_indices, self.n_objects)
+
+    def rebuild(self, labels: np.ndarray) -> EngineState:
+        """Load a (coordinator-repaired) assignment and merge the shard counts."""
+        return EngineState.merge_all(self._map("rebuild", self._scatter(labels)))
+
+    def hamming_assign(self, modes: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """CAME's Eq. 20 assignment, shard-local; gathered in coordinator order."""
+        shard_labels = self._map("hamming_assign", common=(modes, theta))
+        labels = np.empty(self.n_objects, dtype=np.int64)
+        for idx, part in zip(self.shard_indices, shard_labels):
+            labels[idx] = part
+        return labels
+
+    def online_sims(self, state, rows_per_shard, exclude_per_shard, omega=None):
+        """Per-shard similarity blocks against a broadcast global state.
+
+        The streaming mini-batch online mode: each shard restores the
+        coordinator's live counts and answers ``similarity_object`` for its
+        listed local rows.  Results come back in shard order as
+        ``(len(rows), k)`` matrices.
+        """
+        args = [
+            (rows, exclude)
+            for rows, exclude in zip(rows_per_shard, exclude_per_shard)
+        ]
+        return self._map("online_sims", args, common=(state, omega))
+
+    def close(self) -> None:
+        """Tear the backend down; must be idempotent."""
+
+    def __enter__(self) -> "ShardExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class InProcessShardExecutor(ShardExecutor):
     """Reference executor: runs every shard serially in the calling process.
 
     With the default single shard this *is* MGCPL's serial execution path;
@@ -388,8 +471,7 @@ class InProcessShardExecutor:
         codes = np.asarray(codes, dtype=np.int64)
         if shard_indices is None:
             shard_indices = contiguous_shards(codes.shape[0], 1)
-        self.shard_indices = [np.asarray(idx, dtype=np.int64) for idx in shard_indices]
-        self.n_objects = codes.shape[0]
+        super().__init__(shard_indices, codes.shape[0])
         self._workers = []
         for idx in self.shard_indices:
             view = shard_view(codes, idx)
@@ -402,48 +484,10 @@ class InProcessShardExecutor:
                 ShardWorker(view, n_categories, engine=engine, onehot_cache=cache)
             )
 
-    @property
-    def n_shards(self) -> int:
-        return len(self._workers)
-
-    def begin_epoch(self, n_clusters: int, labels: Optional[np.ndarray]) -> EngineState:
-        states = [
-            worker.begin_epoch(n_clusters, None if labels is None else labels[idx])
-            for worker, idx in zip(self._workers, self.shard_indices)
-        ]
-        return EngineState.merge_all(states)
-
-    def sweep(self, broadcast: SweepBroadcast) -> SweepOutcome:
-        updates = [worker.sweep(broadcast) for worker in self._workers]
-        return SweepOutcome.from_updates(updates, self.shard_indices, self.n_objects)
-
-    def rebuild(self, labels: np.ndarray) -> EngineState:
-        states = [
-            worker.rebuild(labels[idx])
-            for worker, idx in zip(self._workers, self.shard_indices)
-        ]
-        return EngineState.merge_all(states)
-
-    def hamming_assign(self, modes: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        labels = np.empty(self.n_objects, dtype=np.int64)
-        for worker, idx in zip(self._workers, self.shard_indices):
-            labels[idx] = worker.hamming_assign(modes, theta)
-        return labels
-
-    def online_sims(self, state, rows_per_shard, exclude_per_shard, omega=None):
-        """Per-shard similarity blocks against a broadcast global state."""
+    def _map(self, method: str, per_shard_args=None, common: tuple = ()) -> list:
+        if per_shard_args is None:
+            per_shard_args = [() for _ in self._workers]
         return [
-            worker.online_sims(rows, exclude, state, omega)
-            for worker, rows, exclude in zip(
-                self._workers, rows_per_shard, exclude_per_shard
-            )
+            getattr(worker, method)(*args, *common)
+            for worker, args in zip(self._workers, per_shard_args)
         ]
-
-    def close(self) -> None:
-        """Nothing to tear down for in-process shards."""
-
-    def __enter__(self) -> "InProcessShardExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -11,11 +11,14 @@ The paper motivates MCDC with two distributed-computing use cases:
 
 This package provides the *real* sharded execution runtime — a
 transport-pluggable executor API (:mod:`repro.distributed.transport`:
-``make_executor`` over a ``"serial"`` / ``"process"`` / ``"tcp"`` backend
-registry), the multi-host TCP backend (:mod:`repro.distributed.rpc`: a
-``repro worker`` server plus a socket coordinator) and the
-``ShardedMGCPL`` / ``ShardedCAME`` / ``ShardedMCDC`` estimator wrappers
-(:mod:`repro.distributed.runtime`) — alongside a lightweight simulated
+``make_executor`` over a ``"serial"`` / ``"process"`` / ``"shm"`` /
+``"tcp"`` backend registry), the multi-host TCP backend (the ``repro
+worker`` server and its socket transport in :mod:`repro.distributed.rpc`,
+the fault-tolerant, append-capable :class:`TCPExecutor` in
+:mod:`repro.distributed.resilience`), the ``ShardedMGCPL`` /
+``ShardedCAME`` / ``ShardedMCDC`` estimator wrappers
+(:mod:`repro.distributed.runtime`) and the streaming ``StreamingMGCPL``
+(:mod:`repro.distributed.streaming`) — alongside a lightweight simulated
 cluster substrate (nodes, workloads, a scheduler, pluggable execution
 backends) and the MCDC-guided partitioner with the metrics that quantify
 what the pre-partitioning preserves (locality, balance, consistency).
@@ -25,24 +28,19 @@ from repro.distributed.node import ComputeNode, NodePool, make_node_pool
 from repro.distributed.partitioner import MultiGranularPartitioner, PartitionPlan
 from repro.distributed.resilience import (
     HeartbeatMonitor,
-    ResilientTCPExecutor,
     RetryPolicy,
+    TCPExecutor,
     measured_node_pool,
 )
 from repro.distributed.runtime import (
     ShardedCAME,
-    ShardedCoordinator,
     ShardedMCDC,
     ShardedMCDCEncoder,
     ShardedMGCPL,
 )
 from repro.distributed.shardcache import ShardCache, parse_byte_size, shard_content_key
 from repro.distributed.shm import ShmExecutor
-from repro.distributed.streaming import (
-    StreamingCoordinator,
-    StreamingMGCPL,
-    StreamingTCPExecutor,
-)
+from repro.distributed.streaming import StreamingCoordinator, StreamingMGCPL
 from repro.distributed.transport import (
     RemoteWorkerError,
     ShardExecutor,
@@ -69,7 +67,6 @@ __all__ = [
     "make_node_pool",
     "MultiGranularPartitioner",
     "PartitionPlan",
-    "ShardedCoordinator",
     "ShardedMGCPL",
     "ShardedCAME",
     "ShardedMCDC",
@@ -82,10 +79,9 @@ __all__ = [
     "ShmExecutor",
     "StreamingCoordinator",
     "StreamingMGCPL",
-    "StreamingTCPExecutor",
     "HeartbeatMonitor",
-    "ResilientTCPExecutor",
     "RetryPolicy",
+    "TCPExecutor",
     "measured_node_pool",
     "TransportError",
     "RemoteWorkerError",

@@ -1,8 +1,10 @@
-"""Fault tolerance and elasticity for the ``"tcp"`` shard backend.
+"""The ``"tcp"`` shard executor: fault tolerance, elasticity, resident shards.
 
 The paper's distributed decomposition assumes a healthy fixed fleet; this
-module is what turns the multi-host fit path from "works" into "survives
-``kill -9`` and adapts to slow hosts".  Three mechanisms, all built on the
+module's :class:`TCPExecutor` (shards behind ``repro worker`` servers, one
+:class:`~repro.distributed.rpc.TCPTransport` socket each) is what turns the
+multi-host fit path from "works" into "survives ``kill -9``, adapts to slow
+hosts and keeps its workers fed".  Four mechanisms, all built on the
 fact that shard state is an exact-mergeable
 :class:`~repro.engine.state.EngineState` plus the shard's current labels:
 
@@ -12,9 +14,10 @@ fact that shard state is an exact-mergeable
   probes and reinstated the moment a probe succeeds again, so a rebooted
   worker rejoins the candidate set for re-placement and rebalancing.
 
-* **Recovery** — :class:`ResilientTCPExecutor` wraps every protocol call so
-  a worker that dies mid-fit (connection reset, EOF, timeout) triggers
-  deterministic shard re-placement instead of aborting the fit: the shard
+* **Recovery** — the executor hands every failed shard call to one
+  re-placement routine, so a worker that dies mid-fit (connection reset,
+  EOF, timeout) triggers deterministic shard re-placement instead of
+  aborting the fit: the shard
   moves to the least-loaded surviving host (ties broken by host index), the
   replacement worker restores the codes from its content-addressed
   :class:`~repro.distributed.shardcache.ShardCache` (or they are re-shipped
@@ -39,6 +42,14 @@ fact that shard state is an exact-mergeable
   needs no state transfer at all — ``begin_epoch`` rebuilds every engine
   anyway — so a move costs one (cache-friendly) handshake.
 
+* **Resident shards** — workers stay up across fits and the topology can
+  evolve: ``append_rows`` extends resident workers in place (no re-ship)
+  and ``split_shard`` re-homes the tail half of a hot shard onto the
+  least-loaded host.  The streaming runtime
+  (:mod:`repro.distributed.streaming`) drives both.  The replay bookkeeping
+  is updated *before* the wire call, so a worker lost mid-append is
+  re-placed by the same routine with its appends intact.
+
 What is and is not bit-identical after recovery: batch MGCPL (and CAME's
 Hamming assignment, and ``rebuild``) replay exactly, because each call's
 result is a pure function of the shard codes, the broadcast state and the
@@ -58,11 +69,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Unio
 
 import numpy as np
 
-from repro.distributed.rpc import TCPExecutor, TCPTransport, ping_host
-from repro.distributed.shardcache import ShardCache
+from repro.distributed.rpc import TCPTransport, ping_host
+from repro.distributed.shardcache import ShardCache, shard_content_key
 from repro.distributed.transport import (
     RemoteWorkerError,
     TransportError,
+    TransportExecutor,
     close_all,
     register_backend,
 )
@@ -72,7 +84,7 @@ __all__ = [
     "HeartbeatMonitor",
     "MeasuredNode",
     "measured_node_pool",
-    "ResilientTCPExecutor",
+    "TCPExecutor",
 ]
 
 
@@ -273,15 +285,16 @@ def measured_node_pool(throughputs: Dict[int, float]):
 
 
 # ---------------------------------------------------------------------- #
-# The resilient executor (the registered "tcp" backend)
+# The executor (the registered "tcp" backend)
 # ---------------------------------------------------------------------- #
 @register_backend(
     "tcp",
-    aliases=("socket", "remote"),
+    aliases=("socket", "remote", "streaming", "stream"),
     description=(
         "Fault-tolerant shards on remote `repro worker` hosts: heartbeats, "
         "retry-reconnect with shard re-placement, content-addressed shard "
-        "cache, optional measured epoch-boundary rebalancing"
+        "cache, optional measured epoch-boundary rebalancing, resident "
+        "appends and hot-shard splits"
     ),
     options=(
         "hosts",
@@ -293,11 +306,29 @@ def measured_node_pool(throughputs: Dict[int, float]):
         "rebalance",
     ),
 )
-class ResilientTCPExecutor(TCPExecutor):
-    """:class:`TCPExecutor` that survives worker death and adapts placement.
+class TCPExecutor(TransportExecutor):
+    """Shard executor whose shards live behind ``repro worker`` TCP servers.
 
-    Extra options (beyond the plain TCP executor's)
+    Survives worker death, adapts placement, and lets the shard topology
+    evolve while workers stay resident.
+
+    Parameters (beyond the registry's standard ones)
     ----------
+    hosts:
+        ``"host:port"`` worker addresses (required).
+    placement:
+        Optional host index per shard — e.g. from
+        :meth:`GranularityAwareScheduler.place_shards`; defaults to
+        round-robin ``shard i -> hosts[i % len(hosts)]``.
+    timeout:
+        Optional per-operation socket timeout in seconds
+        (default: ``REPRO_IO_TIMEOUT`` or block).
+    shard_cache:
+        Optional directory (or :class:`ShardCache`) of content-addressed
+        shard payloads.  When set, each shard is written to the cache on the
+        coordinator side and the handshake opens cache-first: a worker that
+        already holds the shard acknowledges without any payload travelling,
+        so a second fit of the same data ships zero shard bytes.
     max_retries:
         Reconnect attempts per failed shard call beyond the first (default 2),
         spaced by :class:`RetryPolicy`'s jittered capped backoff.
@@ -310,8 +341,37 @@ class ResilientTCPExecutor(TCPExecutor):
         When true, re-place shards at epoch boundaries using measured sweep
         throughput, the MCDC-grouping scheduler and the makespan cost model.
 
+    Construction is transactional: if any shard fails to connect or
+    handshake, every already-connected transport is closed before the error
+    propagates.
+
+    Beyond the executor protocol, the streaming verbs:
+
+    ``append_rows``
+        Route a batch of new rows across the fleet (least-resident-rows
+        shard first, ties to the lowest shard index — deterministic) and
+        extend each target worker in place via the ``append`` verb.  The
+        coordinator's replay bookkeeping (shard indices, content keys,
+        tracked labels) is updated *before* the wire call, so a worker that
+        dies mid-append is recovered by a fresh handshake that ships the
+        shard *including* the new rows.
+
+    ``split_shard``
+        Re-home the tail half of a shard onto the least-loaded alive host:
+        the worker truncates in place (``split`` verb) and a new session is
+        opened for the tail rows, inheriting the live epoch when one is in
+        flight.  Used by the re-shard policy at block boundaries.
+
+    Per-shard wall times of sweeps and ``online_sims`` feed the
+    measured-throughput accumulators, so the rebalancer and the time-based
+    hot-shard policy both see batch and online traffic.
+
     Observability: :attr:`recovery_events` (one dict per recovered shard,
-    including wall-clock ``recovery_seconds``) and :attr:`rebalance_events`.
+    including wall-clock ``recovery_seconds``), :attr:`rebalance_events`,
+    :attr:`split_events` and :meth:`transport_stats`.  Append payload bytes
+    are counted in ``append_bytes_shipped``, apart from the handshake
+    counter ``payload_bytes_shipped``, which is what makes "a warm refit
+    ships zero shard payload bytes" a meaningful assertion.
     """
 
     #: Apply a rebalance only when the model predicts at least this win.
@@ -331,15 +391,65 @@ class ResilientTCPExecutor(TCPExecutor):
         heartbeat_interval: Optional[float] = None,
         rebalance: bool = False,
     ) -> None:
-        super().__init__(
-            codes, n_categories, shard_indices, engine,
-            hosts=hosts, placement=placement, timeout=timeout,
-            shard_cache=shard_cache,
-        )
+        if not hosts:
+            raise ValueError(
+                "the tcp backend requires hosts=['host:port', ...] — start them "
+                "with `repro worker --listen HOST:PORT`"
+            )
+        hosts = [str(h) for h in hosts]
+        n_shards = len(shard_indices)
+        if placement is None:
+            placement = [i % len(hosts) for i in range(n_shards)]
+        placement = [int(p) for p in placement]
+        if len(placement) != n_shards:
+            raise ValueError(
+                f"placement names {len(placement)} shards but there are {n_shards}"
+            )
+        if placement and not all(0 <= p < len(hosts) for p in placement):
+            raise ValueError(f"placement indices must be in [0, {len(hosts)})")
         self.retry_policy = RetryPolicy(max_retries=int(max_retries))
+        codes = np.asarray(codes, dtype=np.int64)
+        n_categories = [int(m) for m in n_categories]
+        if shard_cache is not None and not isinstance(shard_cache, ShardCache):
+            shard_cache = ShardCache(shard_cache)
+        self.shard_cache = shard_cache
+        # Content keys name shards on the wire even without a cache directory
+        # (the worker may have its own), and let recovery restore from cache.
+        self.content_keys = [
+            shard_content_key(codes[idx], n_categories) for idx in shard_indices
+        ]
+        if shard_cache is not None:
+            for idx, key in zip(shard_indices, self.content_keys):
+                shard_cache.put(key, codes[idx], n_categories)
+        transports: List[TCPTransport] = []
+        try:
+            # Two phases so the handshakes pipeline: ship every shard's hello
+            # first, then gather the welcomes — worker-side engine builds for
+            # shards on different hosts overlap instead of running serially.
+            for i, (idx, host_index) in enumerate(zip(shard_indices, placement)):
+                transports.append(TCPTransport(
+                    hosts[host_index], codes[idx], n_categories, engine,
+                    timeout=timeout, defer_welcome=True,
+                    content_key=self.content_keys[i],
+                    cache_first=shard_cache is not None,
+                ))
+            for transport in transports:
+                transport.await_welcome()
+        except BaseException:
+            close_all(transports)
+            raise
+        super().__init__(transports, shard_indices, codes.shape[0])
+        self.hosts = hosts
+        self.placement = placement
+        self._engine = engine
+        self._timeout = timeout
+        self._codes = codes
+        self._n_categories = n_categories
         self.rebalance = bool(rebalance)
         self.recovery_events: List[dict] = []
         self.rebalance_events: List[dict] = []
+        self.split_events: List[dict] = []
+        self.append_bytes_shipped = 0
         # Payload bytes shipped on transports that were since replaced (by a
         # recovery or a rebalance move); keeps transport_stats() cumulative.
         self._retired_payload_bytes = 0
@@ -351,9 +461,11 @@ class ResilientTCPExecutor(TCPExecutor):
         # carries the global counts).
         self._n_clusters: Optional[int] = None
         self._shard_labels: List[Optional[np.ndarray]] = [None] * self.n_shards
-        # Measured-throughput accumulators (rows swept, seconds busy) per host.
+        # Measured-throughput accumulators (rows swept, seconds busy) per
+        # host, and measured busy seconds per shard (the hot-shard policy).
         self._host_rows = [0.0] * len(self.hosts)
         self._host_seconds = [0.0] * len(self.hosts)
+        self.shard_seconds = [0.0] * self.n_shards
         self._rng = random.Random()
         self.monitor: Optional[HeartbeatMonitor] = None
         if heartbeat_interval:
@@ -390,38 +502,9 @@ class ResilientTCPExecutor(TCPExecutor):
             dead = set(self._dead_hosts)
         return [h for h in range(len(self.hosts)) if h not in dead]
 
-    # -- the wrapped protocol map --------------------------------------- #
-    def _map(self, method: str, per_shard_args=None, common: tuple = ()) -> list:
-        if not self._transports:
-            raise TransportError(f"executor is closed; cannot run {method!r}")
-        if per_shard_args is None:
-            per_shard_args = [() for _ in self.shard_indices]
-        calls = [(*args, *common) for args in per_shard_args]
-        failures: Dict[int, TransportError] = {}
-        for i, (transport, call) in enumerate(zip(self._transports, calls)):
-            try:
-                transport.submit(method, call)
-            except TransportError as exc:
-                failures[i] = exc
-        results: list = [None] * len(calls)
-        for i, transport in enumerate(self._transports):
-            if i in failures:
-                continue
-            try:
-                results[i] = transport.result()
-            except RemoteWorkerError:
-                # The worker is healthy; the *call* failed deterministically.
-                # Recovery would replay the identical failure — re-raise.
-                raise
-            except TransportError as exc:
-                failures[i] = exc
-        for i in sorted(failures):
-            results[i] = self._recover_shard(i, method, calls[i], failures[i])
-        self._record_progress(method, calls, results)
-        return results
-
+    # -- progress tracking ---------------------------------------------- #
     def _record_progress(self, method: str, calls: list, results: list) -> None:
-        """Track the replay state and the per-host timing accumulators."""
+        """Track the replay state and the per-host/per-shard timings."""
         if method == "begin_epoch":
             self._n_clusters = int(calls[0][0])
             for i, call in enumerate(calls):
@@ -433,17 +516,23 @@ class ResilientTCPExecutor(TCPExecutor):
         elif method == "sweep":
             for i, update in enumerate(results):
                 self._shard_labels[i] = np.asarray(update.labels, dtype=np.int64)
-            for i, transport in enumerate(self._transports):
-                elapsed = getattr(transport, "last_elapsed", None)
-                if elapsed:
-                    self._host_rows[self.placement[i]] += float(self.shard_indices[i].size)
-                    self._host_seconds[self.placement[i]] += float(elapsed)
         elif method == "rebuild":
             for i, call in enumerate(calls):
                 self._shard_labels[i] = np.asarray(call[0], dtype=np.int64).copy()
         elif method == "hamming_assign":
             for i, labels in enumerate(results):
                 self._shard_labels[i] = np.asarray(labels, dtype=np.int64)
+        if method in ("sweep", "online_sims"):
+            for i, transport in enumerate(self._transports):
+                elapsed = getattr(transport, "last_elapsed", None)
+                if elapsed:
+                    rows = (
+                        self.shard_indices[i].size if method == "sweep"
+                        else len(calls[i][0])
+                    )
+                    self._host_rows[self.placement[i]] += float(rows)
+                    self._host_seconds[self.placement[i]] += float(elapsed)
+                    self.shard_seconds[i] += float(elapsed)
 
     # -- recovery ------------------------------------------------------- #
     def _connect_shard(self, index: int, host_index: int) -> TCPTransport:
@@ -455,12 +544,26 @@ class ResilientTCPExecutor(TCPExecutor):
             cache_first=self.shard_cache is not None,
         )
 
-    def _pick_host(self, exclude: Set[int]) -> Optional[int]:
-        """Least-loaded (by resident rows) alive host; ties -> lowest index."""
+    def _swap_transport(self, index: int, transport: Optional[TCPTransport]) -> None:
+        """Install ``transport`` for shard ``index``; retire the old one."""
+        old, self._transports[index] = self._transports[index], transport
+        if old is not None:
+            self._retired_payload_bytes += old.payload_bytes_shipped
+            close_all([old])
+
+    def _host_loads(self) -> List[float]:
+        """Resident rows per host over the connected shards."""
         loads = [0.0] * len(self.hosts)
         for i, transport in enumerate(self._transports):
             if transport is not None:
                 loads[self.placement[i]] += float(self.shard_indices[i].size)
+        return loads
+
+    def _pick_host(
+        self, exclude: Set[int], loads: Optional[List[float]] = None
+    ) -> Optional[int]:
+        """Least-loaded (by resident rows) alive host; ties -> lowest index."""
+        loads = self._host_loads() if loads is None else loads
         candidates = [
             h for h in self.alive_host_indices() if h not in exclude
         ]
@@ -468,25 +571,32 @@ class ResilientTCPExecutor(TCPExecutor):
             return None
         return min(candidates, key=lambda h: (loads[h], h))
 
-    def _recover_shard(self, index: int, method: str, call: tuple, error: TransportError):
-        """Re-place shard ``index`` on a surviving host and finish ``call``.
+    def _recover_shard(
+        self, index: int, method: str, call: Optional[tuple], error: TransportError
+    ):
+        """Re-place shard ``index`` on a surviving host; finish ``call``.
+
+        The fresh handshake ships (or cache-restores) the shard's *current*
+        rows — appends included — and when an epoch is live its engine is
+        rebuilt from the tracked labels.  ``call`` is the interrupted
+        protocol call, resubmitted on the new session and its result
+        returned; ``None`` (a failed append or split) only restores the
+        shard.
 
         Raises :class:`TransportError` (embedding the original failure) when
         no surviving host can take the shard within the retry budget, or when
-        there is no epoch to replay yet.
+        a protocol call has no epoch to replay yet.
         """
         started = time.perf_counter()
         failed_host = self.placement[index]
         self._mark_dead(failed_host)
-        old, self._transports[index] = self._transports[index], None
-        if old is not None:
-            self._retired_payload_bytes += old.payload_bytes_shipped
-        close_all([old])
-        if method != "begin_epoch" and self._n_clusters is None:
+        self._swap_transport(index, None)
+        if call is not None and method != "begin_epoch" and self._n_clusters is None:
             raise TransportError(
                 f"shard {index} lost its worker connection before any epoch "
                 f"began; nothing to replay: {error}"
             ) from error
+        replay = self._n_clusters is not None and method != "begin_epoch"
         last_error: TransportError = error
         attempts = 0
         delays = list(self.retry_policy.delays(self._rng))
@@ -498,15 +608,17 @@ class ResilientTCPExecutor(TCPExecutor):
                 time.sleep(delays[attempt - 1])
             attempts += 1
             transport = None
+            result = None
             try:
                 transport = self._connect_shard(index, target)
-                if method != "begin_epoch":
+                if replay:
                     transport.submit(
                         "begin_epoch", (self._n_clusters, self._shard_labels[index])
                     )
                     transport.result()
-                transport.submit(method, call)
-                result = transport.result()
+                if call is not None:
+                    transport.submit(method, call)
+                    result = transport.result()
             except RemoteWorkerError:
                 if transport is not None:
                     close_all([transport])
@@ -518,7 +630,7 @@ class ResilientTCPExecutor(TCPExecutor):
                 self._mark_dead(target)
                 continue
             self._transports[index] = transport
-            old_host, self.placement[index] = self.placement[index], target
+            self.placement[index] = target
             self.recovery_events.append({
                 "shard": index,
                 "method": method,
@@ -530,22 +642,188 @@ class ResilientTCPExecutor(TCPExecutor):
             })
             return result
         raise TransportError(
-            f"shard {index} lost its worker connection and re-placement "
-            f"failed after {attempts} attempt(s) — no surviving host could "
-            f"take it: {last_error}"
+            f"shard {index} lost its worker connection during {method!r} and "
+            f"re-placement failed after {attempts} attempt(s) — no surviving "
+            f"host could take it: {last_error}"
         ) from last_error
+
+    # -- appends --------------------------------------------------------- #
+    def route_rows(self, n_rows: int) -> np.ndarray:
+        """Deterministic shard per new row: least resident rows, ties low."""
+        loads = [int(idx.size) for idx in self.shard_indices]
+        out = np.empty(int(n_rows), dtype=np.int64)
+        for j in range(int(n_rows)):
+            s = min(range(len(loads)), key=lambda i: (loads[i], i))
+            out[j] = s
+            loads[s] += 1
+        return out
+
+    def append_rows(self, batch: np.ndarray) -> np.ndarray:
+        """Absorb a batch into the resident fleet; returns each row's shard."""
+        batch = np.ascontiguousarray(batch, dtype=np.int64)
+        if batch.ndim != 2 or batch.shape[1] != len(self._n_categories):
+            raise ValueError(
+                f"appended batch must be 2-d with {len(self._n_categories)} "
+                f"features, got shape {batch.shape}"
+            )
+        if batch.shape[0] == 0:
+            return np.empty(0, dtype=np.int64)
+        start = self.n_objects
+        self._codes = np.concatenate([self._codes, batch])
+        self.n_objects = int(self._codes.shape[0])
+        shard_of = self.route_rows(batch.shape[0])
+        for s in range(self.n_shards):
+            sel = np.flatnonzero(shard_of == s)
+            if sel.size:
+                self._append_to_shard(s, start + sel)
+        return shard_of
+
+    def _append_to_shard(self, index: int, global_ids: np.ndarray) -> None:
+        rows = np.ascontiguousarray(self._codes[global_ids])
+        # Bookkeeping first: if the worker dies mid-append, recovery re-ships
+        # the shard from these (already extended) indices, so the appended
+        # rows replay for free.
+        self.shard_indices[index] = np.concatenate(
+            [self.shard_indices[index], np.asarray(global_ids, dtype=np.int64)]
+        )
+        self._refresh_content_key(index)
+        if self._shard_labels[index] is not None:
+            self._shard_labels[index] = np.concatenate(
+                [self._shard_labels[index], np.full(rows.shape[0], -1, dtype=np.int64)]
+            )
+        transport = self._transports[index]
+        try:
+            transport.submit("append", (rows,))
+            n_after = int(transport.result())
+        except RemoteWorkerError:
+            raise
+        except TransportError as exc:
+            self._recover_shard(index, "append", None, exc)
+        else:
+            if n_after != int(self.shard_indices[index].size):
+                raise TransportError(
+                    f"shard {index} reports {n_after} rows after append, "
+                    f"coordinator expects {self.shard_indices[index].size}"
+                )
+            self.append_bytes_shipped += int(rows.nbytes)
+
+    def _refresh_content_key(self, index: int) -> None:
+        key = shard_content_key(
+            self._codes[self.shard_indices[index]], self._n_categories
+        )
+        self.content_keys[index] = key
+        if self.shard_cache is not None:
+            self.shard_cache.put(
+                key, self._codes[self.shard_indices[index]], self._n_categories
+            )
+
+    # -- hot-shard splitting --------------------------------------------- #
+    def hot_shards(
+        self,
+        split_rows: Optional[int] = None,
+        split_seconds: Optional[float] = None,
+    ) -> List[int]:
+        """Shards exceeding a row-count or measured-time budget (splittable)."""
+        hot: List[int] = []
+        for i, idx in enumerate(self.shard_indices):
+            if idx.size < 2:
+                continue
+            if split_rows is not None and idx.size > int(split_rows):
+                hot.append(i)
+            elif split_seconds is not None and self.shard_seconds[i] > float(
+                split_seconds
+            ):
+                hot.append(i)
+        return hot
+
+    def split_shard(self, index: int, host: Optional[int] = None) -> int:
+        """Split shard ``index`` in half; returns the new (tail) shard index.
+
+        The worker keeps the first half in place; the tail rows get a fresh
+        session on ``host`` (default: the least-loaded alive host once the
+        tail has left, PR 8's placement rule).  When an epoch is live both
+        halves rebuild their engines from the tracked labels, so a split at
+        a block boundary is invisible to the numerics — the global counts
+        never change.
+        """
+        idx = self.shard_indices[index]
+        if idx.size < 2:
+            raise ValueError(f"shard {index} has {idx.size} row(s); cannot split")
+        keep = int(idx.size) // 2
+        head, tail = idx[:keep].copy(), idx[keep:].copy()
+        # Choose the tail's host before anything changes, so a split with
+        # nowhere to go leaves the executor exactly as it was.
+        if host is None:
+            loads = self._host_loads()
+            if self._transports[index] is not None:
+                loads[self.placement[index]] -= float(tail.size)
+            target = self._pick_host(exclude=set(), loads=loads)
+            if target is None:
+                raise TransportError("no alive host can take the split shard")
+        else:
+            target = int(host)
+            if not 0 <= target < len(self.hosts):
+                raise ValueError(f"host index must be in [0, {len(self.hosts)})")
+        labels = self._shard_labels[index]
+        head_labels = None if labels is None else labels[:keep].copy()
+        tail_labels = None if labels is None else labels[keep:].copy()
+
+        # Truncate the resident worker (bookkeeping first, as for appends).
+        self.shard_indices[index] = head
+        self._shard_labels[index] = head_labels
+        self._refresh_content_key(index)
+        transport = self._transports[index]
+        try:
+            transport.submit("split", (keep,))
+            transport.result()
+            if self._n_clusters is not None:
+                # The worker dropped its engine with the tail rows; rebuild
+                # it over the kept half so in-flight epochs keep working.
+                transport.submit("begin_epoch", (self._n_clusters, head_labels))
+                transport.result()
+        except RemoteWorkerError:
+            raise
+        except TransportError as exc:
+            self._recover_shard(index, "split", None, exc)
+
+        # Home the tail on a fresh session.
+        new_index = self.n_shards
+        self.shard_indices.append(tail)
+        self._shard_labels.append(tail_labels)
+        self.shard_seconds[index] = 0.0
+        self.shard_seconds.append(0.0)
+        self.content_keys.append(
+            shard_content_key(self._codes[tail], self._n_categories)
+        )
+        if self.shard_cache is not None:
+            self.shard_cache.put(
+                self.content_keys[new_index], self._codes[tail], self._n_categories
+            )
+        self.placement.append(target)
+        self._transports.append(None)
+        try:
+            new_transport = self._connect_shard(new_index, target)
+            if self._n_clusters is not None:
+                new_transport.submit("begin_epoch", (self._n_clusters, tail_labels))
+                new_transport.result()
+        except TransportError as exc:
+            self._recover_shard(new_index, "split", None, exc)
+        else:
+            self._transports[new_index] = new_transport
+        self.split_events.append({
+            "shard": index,
+            "new_shard": new_index,
+            "rows_kept": int(head.size),
+            "rows_moved": int(tail.size),
+            "to_host": self.hosts[int(self.placement[new_index])],
+        })
+        return new_index
 
     # -- elastic rebalancing -------------------------------------------- #
     def begin_epoch(self, n_clusters: int, labels):
         if self.rebalance:
             self._maybe_rebalance()
         return super().begin_epoch(n_clusters, labels)
-
-    def transport_stats(self) -> dict:
-        """Cumulative wire stats: live transports plus replaced ones' bytes."""
-        stats = super().transport_stats()
-        stats["payload_bytes_shipped"] += self._retired_payload_bytes
-        return stats
 
     def measured_throughputs(self) -> Dict[int, float]:
         """Host index -> measured rows/second (only hosts with data)."""
@@ -603,11 +881,8 @@ class ResilientTCPExecutor(TCPExecutor):
                 except TransportError:
                     self._mark_dead(target)
                     break  # keep the remaining shards where they are
-                old, self._transports[i] = self._transports[i], transport
+                self._swap_transport(i, transport)
                 self.placement[i] = target
-                if old is not None:
-                    self._retired_payload_bytes += old.payload_bytes_shipped
-                close_all([old])
                 moved += 1
             if moved:
                 self.rebalance_events.append({
@@ -618,6 +893,24 @@ class ResilientTCPExecutor(TCPExecutor):
                 })
         except Exception:  # pragma: no cover - defensive: optimiser is optional
             return
+
+    # -- observability ---------------------------------------------------- #
+    def transport_stats(self) -> dict:
+        """Cumulative wire stats: live transports plus replaced ones' bytes."""
+        transports = [t for t in self._transports if t is not None]
+        statuses = [t.cache_status for t in transports]
+        return {
+            "payload_bytes_shipped": (
+                sum(t.payload_bytes_shipped for t in transports)
+                + self._retired_payload_bytes
+            ),
+            "cache_hits": sum(1 for s in statuses if s == "hit"),
+            "cache_misses": sum(1 for s in statuses if s == "miss"),
+            "cache_shipped": sum(1 for s in statuses if s in (None, "shipped")),
+            "append_bytes_shipped": int(self.append_bytes_shipped),
+            "n_shards": self.n_shards,
+            "splits": len(self.split_events),
+        }
 
     # -- teardown ------------------------------------------------------- #
     def close(self) -> None:

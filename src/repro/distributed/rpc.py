@@ -17,11 +17,9 @@ lives in :mod:`repro.distributed.codec`):
 * **Coordinator** — :class:`TCPTransport` implements the
   :class:`~repro.distributed.transport.ShardTransport` protocol over one
   socket; ``submit`` writes the request frame immediately (the socket
-  pipelines), ``result`` reads reply frames in order.  :class:`TCPExecutor`
-  connects one transport per shard, placing shard *i* on
-  ``hosts[placement[i]]`` (round-robin by default; a
-  :meth:`~repro.distributed.scheduler.GranularityAwareScheduler.place_shards`
-  placement groups shards onto MCDC-consistent nodes).
+  pipelines), ``result`` reads reply frames in order.  The ``tcp`` executor
+  (:class:`repro.distributed.resilience.TCPExecutor`) connects one transport
+  per shard.
 
 A worker that dies mid-sweep (connection reset / EOF) raises
 :class:`~repro.distributed.transport.TransportError` on the coordinator —
@@ -60,7 +58,6 @@ import numpy as np
 
 from repro.core.sync import ShardUpdate, ShardWorker, SweepBroadcast
 from repro.distributed.codec import (
-    MAX_FRAME,
     ThreadedFrameServer,
     default_connect_timeout,
     default_io_timeout,
@@ -70,19 +67,13 @@ from repro.distributed.codec import (
     send_frame,
     unpack_message,
 )
-from repro.distributed.shardcache import ShardCache, shard_content_key
-from repro.distributed.transport import (
-    RemoteWorkerError,
-    TransportError,
-    TransportExecutor,
-    close_all,
-)
+from repro.distributed.shardcache import ShardCache
+from repro.distributed.transport import RemoteWorkerError, TransportError
 from repro.engine import EngineState
 
 __all__ = [
     "PROTOCOL_VERSION",
     "TCPTransport",
-    "TCPExecutor",
     "WorkerServer",
     "serve_worker",
     "local_worker_pool",
@@ -95,9 +86,6 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 2
-
-#: Backwards-compatible alias; the cap itself lives in the shared codec.
-_MAX_FRAME = MAX_FRAME
 
 
 # -- EngineState / protocol dataclass (de)serialisation ------------------ #
@@ -656,110 +644,3 @@ class TCPTransport:
                 sock.close()
             except OSError:  # pragma: no cover
                 pass
-
-
-class TCPExecutor(TransportExecutor):
-    """Shard executor whose shards live behind ``repro worker`` TCP servers.
-
-    Parameters (beyond the registry's standard ones)
-    ----------
-    hosts:
-        ``"host:port"`` worker addresses (required).
-    placement:
-        Optional host index per shard — e.g. from
-        :meth:`GranularityAwareScheduler.place_shards`; defaults to
-        round-robin ``shard i -> hosts[i % len(hosts)]``.
-    timeout:
-        Optional per-operation socket timeout in seconds
-        (default: ``REPRO_IO_TIMEOUT`` or block).
-    shard_cache:
-        Optional directory (or :class:`ShardCache`) of content-addressed
-        shard payloads.  When set, each shard is written to the cache on the
-        coordinator side and the handshake opens cache-first: a worker that
-        already holds the shard acknowledges without any payload travelling,
-        so a second fit of the same data ships zero shard bytes.
-
-    Construction is transactional: if any shard fails to connect or
-    handshake, every already-connected transport is closed before the error
-    propagates.
-
-    Note: the ``"tcp"`` registry name resolves to the fault-tolerant
-    subclass :class:`repro.distributed.resilience.ResilientTCPExecutor`;
-    this base class is the plain fail-fast channel layer.
-    """
-
-    def __init__(
-        self,
-        codes: np.ndarray,
-        n_categories: Sequence[int],
-        shard_indices: Sequence[np.ndarray],
-        engine: str = "auto",
-        hosts: Optional[Sequence[str]] = None,
-        placement: Optional[Sequence[int]] = None,
-        timeout: Optional[float] = None,
-        shard_cache: Optional[Union[str, Path, ShardCache]] = None,
-    ) -> None:
-        if not hosts:
-            raise ValueError(
-                "the tcp backend requires hosts=['host:port', ...] — start them "
-                "with `repro worker --listen HOST:PORT`"
-            )
-        hosts = [str(h) for h in hosts]
-        n_shards = len(shard_indices)
-        if placement is None:
-            placement = [i % len(hosts) for i in range(n_shards)]
-        placement = [int(p) for p in placement]
-        if len(placement) != n_shards:
-            raise ValueError(
-                f"placement names {len(placement)} shards but there are {n_shards}"
-            )
-        if placement and not all(0 <= p < len(hosts) for p in placement):
-            raise ValueError(f"placement indices must be in [0, {len(hosts)})")
-        codes = np.asarray(codes, dtype=np.int64)
-        n_categories = [int(m) for m in n_categories]
-        if shard_cache is not None and not isinstance(shard_cache, ShardCache):
-            shard_cache = ShardCache(shard_cache)
-        self.shard_cache = shard_cache
-        # Content keys name shards on the wire even without a cache directory
-        # (the worker may have its own), and let recovery restore from cache.
-        self.content_keys = [
-            shard_content_key(codes[idx], n_categories) for idx in shard_indices
-        ]
-        if shard_cache is not None:
-            for idx, key in zip(shard_indices, self.content_keys):
-                shard_cache.put(key, codes[idx], n_categories)
-        transports: List[TCPTransport] = []
-        try:
-            # Two phases so the handshakes pipeline: ship every shard's hello
-            # first, then gather the welcomes — worker-side engine builds for
-            # shards on different hosts overlap instead of running serially.
-            for i, (idx, host_index) in enumerate(zip(shard_indices, placement)):
-                transports.append(TCPTransport(
-                    hosts[host_index], codes[idx], n_categories, engine,
-                    timeout=timeout, defer_welcome=True,
-                    content_key=self.content_keys[i],
-                    cache_first=shard_cache is not None,
-                ))
-            for transport in transports:
-                transport.await_welcome()
-        except BaseException:
-            close_all(transports)
-            raise
-        super().__init__(transports, shard_indices, codes.shape[0])
-        self.hosts = hosts
-        self.placement = placement
-        self._engine = engine
-        self._timeout = timeout
-        self._codes = codes
-        self._n_categories = n_categories
-
-    def transport_stats(self) -> dict:
-        """Aggregate wire observability across the live shard transports."""
-        transports = [t for t in self._transports if t is not None]
-        statuses = [t.cache_status for t in transports]
-        return {
-            "payload_bytes_shipped": sum(t.payload_bytes_shipped for t in transports),
-            "cache_hits": sum(1 for s in statuses if s == "hit"),
-            "cache_misses": sum(1 for s in statuses if s == "miss"),
-            "cache_shipped": sum(1 for s in statuses if s in (None, "shipped")),
-        }

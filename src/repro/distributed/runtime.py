@@ -23,7 +23,8 @@ With ``backend="serial"`` the estimators degrade to the in-process
 multi-shard executor — the full shard/merge protocol without processes —
 which is what the equivalence tests exercise deterministically and what
 single-core machines fall back to.  With ``backend="tcp"`` the shards live
-behind ``repro worker`` servers on other hosts (:mod:`repro.distributed.rpc`).
+behind ``repro worker`` servers on other hosts
+(:mod:`repro.distributed.resilience`).
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ MAX_PROCESS_SHARDS = 64
 __all__ = [
     "MAX_PROCESS_SHARDS",
     "ProcessTransport",
-    "ShardedCoordinator",
     "ShardedMGCPL",
     "ShardedCAME",
     "ShardedMCDC",
@@ -187,34 +187,6 @@ class ProcessExecutor(TransportExecutor):
 
 
 # ---------------------------------------------------------------------- #
-# Back-compat constructor
-# ---------------------------------------------------------------------- #
-def ShardedCoordinator(
-    codes: np.ndarray,
-    n_categories: Sequence[int],
-    shards: ShardSpec = None,
-    backend: str = "process",
-    engine: str = "auto",
-    mp_context=None,
-    **backend_options,
-) -> ShardExecutor:
-    """Build a shard executor (kept as the PR-2 entry point's name).
-
-    Thin wrapper over :func:`repro.distributed.transport.make_executor`; the
-    per-backend construction now lives behind the backend registry, so this
-    function no longer carries backend branches of its own.  Extra keyword
-    arguments (``hosts``, ``shard_cache``, ``max_retries``, ...) pass through
-    to the backend factory.  New code should call ``make_executor`` directly.
-    """
-    options = dict(backend_options)
-    if mp_context is not None:
-        options["mp_context"] = mp_context
-    return make_executor(
-        backend, codes, n_categories, shards=shards, engine=engine, **options
-    )
-
-
-# ---------------------------------------------------------------------- #
 # Sharded estimators
 # ---------------------------------------------------------------------- #
 class _ShardedMixin:
@@ -274,7 +246,7 @@ class _ShardedMixin:
             **options,
         )
         # Post-fit observability: the fit loop closes its executor, but the
-        # object (and, on the resilient tcp backend, its recovery_events /
+        # object (and, on the tcp backend, its recovery_events /
         # rebalance_events / transport_stats) stays inspectable here.
         self.last_executor_ = executor
         return executor

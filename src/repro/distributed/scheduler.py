@@ -4,7 +4,7 @@ Besides the generic task/node assignment, :meth:`GranularityAwareScheduler.
 place_shards` specialises the scheduler for the sharded runtime: it treats
 each data shard as a task whose demand is the shard size and returns one
 host index per shard — exactly the ``placement`` option consumed by the TCP
-executor (:class:`repro.distributed.rpc.TCPExecutor`), so shards land on
+executor (:class:`repro.distributed.resilience.TCPExecutor`), so shards land on
 MCDC-grouped, performance-consistent workers instead of round-robin.
 """
 

@@ -7,10 +7,11 @@ execution substrate is the *executor protocol* — ``begin_epoch`` / ``sweep``
 implicit protocol into a formal API, mirroring the clusterer registry of
 :mod:`repro.registry`:
 
-* :class:`ShardExecutor` is the coordinator-side ABC.  It owns the shard
-  layout and implements the whole GlobalStep plumbing (scatter labels, gather
-  per-shard results, merge :class:`~repro.engine.state.EngineState` counts)
-  over a single abstract primitive, :meth:`ShardExecutor._map`.
+* :class:`ShardExecutor` (defined in :mod:`repro.core.sync`, re-exported
+  here) is the coordinator-side ABC.  It owns the shard layout and implements
+  the whole GlobalStep plumbing (scatter labels, gather per-shard results,
+  merge :class:`~repro.engine.state.EngineState` counts) over a single
+  abstract primitive, :meth:`ShardExecutor._map`.
 * :class:`ShardTransport` is the per-shard channel protocol: a backend ships
   a shard's codes once when the transport is created, then exchanges only the
   small method payloads (``O(k * M)`` counts, labels — never the data).
@@ -19,7 +20,7 @@ implicit protocol into a formal API, mirroring the clusterer registry of
   before any result is awaited, so shard steps genuinely overlap regardless
   of whether the transport is a process pool or a TCP socket.
 * :func:`register_backend` / :func:`make_executor` form the backend registry.
-  ``make_executor("serial" | "process" | "tcp", ...)`` is the only
+  ``make_executor("serial" | "process" | "shm" | "tcp", ...)`` is the only
   construction path for backends — estimators never branch on backend names.
 
 Backends shipped with the library:
@@ -32,12 +33,12 @@ name          executor                                             options
               (:mod:`repro.distributed.runtime`)
 ``shm``       zero-copy shared-memory segment + resident worker    ``mp_context``
               pools (:mod:`repro.distributed.shm`)
-``tcp``       one socket per shard to ``repro worker`` hosts,      ``hosts``,
-              with retry-reconnect, shard re-placement and a       ``placement``,
-              content-addressed shard cache                        ``timeout``,
-              (:mod:`repro.distributed.rpc` +                      ``shard_cache``,
-              :mod:`repro.distributed.resilience`)                 ``max_retries``,
-                                                                   ``heartbeat_interval``,
+``tcp``       :class:`repro.distributed.resilience.TCPExecutor`:   ``hosts``,
+              one socket per shard to ``repro worker`` hosts,      ``placement``,
+              with retry-reconnect, shard re-placement, a          ``timeout``,
+              content-addressed shard cache and the streaming      ``shard_cache``,
+              verbs (appends, hot-shard splits); aliases           ``max_retries``,
+              ``streaming``/``stream``                             ``heartbeat_interval``,
                                                                    ``rebalance``
 ============  ===================================================  =========
 
@@ -48,22 +49,18 @@ surface as :class:`TransportError` rather than hangs or bare OS errors.
 from __future__ import annotations
 
 import os
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.sync import (
     InProcessShardExecutor,
-    ShardUpdate,
-    SweepBroadcast,
-    SweepOutcome,
+    ShardExecutor,
     contiguous_shards,
     shards_from_assignments,
 )
 from repro.distributed.partitioner import PartitionPlan
-from repro.engine import EngineState
 from repro.utils.registry import NamedRegistry
 from repro.utils.validation import check_positive_int
 
@@ -210,98 +207,15 @@ def close_all(transports: Sequence[ShardTransport]) -> None:
             pass
 
 
-# ---------------------------------------------------------------------- #
-# The coordinator-side executor ABC
-# ---------------------------------------------------------------------- #
-class ShardExecutor(ABC):
-    """Coordinator-side half of the LocalUpdate/GlobalStep protocol.
-
-    Concrete backends provide :meth:`_map` (run one shard-local method on
-    every shard and gather the per-shard results in shard order); everything
-    the estimators call — the executor protocol proper — is implemented here
-    once: label scatter, :class:`~repro.engine.state.EngineState` merges and
-    the :class:`~repro.core.sync.SweepOutcome` assembly.
-    """
-
-    def __init__(self, shard_indices: Sequence[np.ndarray], n_objects: int) -> None:
-        self.shard_indices = [np.asarray(idx, dtype=np.int64) for idx in shard_indices]
-        self.n_objects = int(n_objects)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shard_indices)
-
-    @abstractmethod
-    def _map(self, method: str, per_shard_args=None, common: tuple = ()) -> list:
-        """Run one shard-local method on every shard; per-shard results in order."""
-
-    def _scatter(self, labels: Optional[np.ndarray]) -> list:
-        if labels is None:
-            return [(None,) for _ in self.shard_indices]
-        labels = np.asarray(labels, dtype=np.int64)
-        return [(labels[idx],) for idx in self.shard_indices]
-
-    # ------------------------------------------------------------------ #
-    # Executor protocol
-    # ------------------------------------------------------------------ #
-    def begin_epoch(self, n_clusters: int, labels: Optional[np.ndarray]) -> EngineState:
-        """Build the shard engines for ``n_clusters`` and merge the counts."""
-        args = [(n_clusters, shard_labels) for (shard_labels,) in self._scatter(labels)]
-        return EngineState.merge_all(self._map("begin_epoch", args))
-
-    def sweep(self, broadcast: SweepBroadcast) -> SweepOutcome:
-        """One global MGCPL sweep: shard-local competition + exact count merge."""
-        updates: List[ShardUpdate] = self._map("sweep", common=(broadcast,))
-        return SweepOutcome.from_updates(updates, self.shard_indices, self.n_objects)
-
-    def rebuild(self, labels: np.ndarray) -> EngineState:
-        """Load a (coordinator-repaired) assignment and merge the shard counts."""
-        return EngineState.merge_all(self._map("rebuild", self._scatter(labels)))
-
-    def hamming_assign(self, modes: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """CAME's Eq. 20 assignment, shard-local; gathered in coordinator order."""
-        shard_labels = self._map("hamming_assign", common=(modes, theta))
-        labels = np.empty(self.n_objects, dtype=np.int64)
-        for idx, part in zip(self.shard_indices, shard_labels):
-            labels[idx] = part
-        return labels
-
-    def online_sims(self, state, rows_per_shard, exclude_per_shard, omega=None):
-        """Per-shard similarity blocks against a broadcast global state.
-
-        The streaming mini-batch online mode: each shard restores the
-        coordinator's live counts and answers ``similarity_object`` for its
-        listed local rows.  Results come back in shard order as
-        ``(len(rows), k)`` matrices.
-        """
-        args = [
-            (rows, exclude)
-            for rows, exclude in zip(rows_per_shard, exclude_per_shard)
-        ]
-        return self._map("online_sims", args, common=(state, omega))
-
-    def close(self) -> None:
-        """Tear the backend down; must be idempotent."""
-
-    def __enter__(self) -> "ShardExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-# The in-process reference executor (repro.core.sync) predates this ABC and
-# cannot import it without a cycle; it satisfies the protocol structurally
-# and is blessed as a virtual subclass so isinstance checks hold.
-ShardExecutor.register(InProcessShardExecutor)
-
-
 class TransportExecutor(ShardExecutor):
     """Generic executor over one :class:`ShardTransport` per shard.
 
     ``_map`` pipelines: every transport's request goes out before any result
     is awaited, so the shard steps overlap for any transport whose ``submit``
-    is non-blocking (process pools, sockets).
+    is non-blocking (process pools, sockets).  Every pending reply is read
+    before an error is raised, so a failed call never leaves a stale reply
+    behind for the next one; each shard whose channel failed goes to
+    :meth:`_recover_shard`.
     """
 
     def __init__(
@@ -322,9 +236,50 @@ class TransportExecutor(ShardExecutor):
             raise TransportError(f"executor is closed; cannot run {method!r}")
         if per_shard_args is None:
             per_shard_args = [() for _ in self.shard_indices]
-        for transport, args in zip(self._transports, per_shard_args):
-            transport.submit(method, (*args, *common))
-        return [transport.result() for transport in self._transports]
+        calls = [(*args, *common) for args in per_shard_args]
+        failures: Dict[int, TransportError] = {}
+        error: Optional[Exception] = None
+        pending = []
+        for i, (transport, call) in enumerate(zip(self._transports, calls)):
+            try:
+                transport.submit(method, call)
+            except TransportError as exc:
+                failures[i] = exc
+            except Exception as exc:
+                error = error or exc
+            else:
+                pending.append(i)
+        # Read every pending reply before raising anything: a reply left
+        # unread would be returned to the next call in its place.
+        results: list = [None] * len(calls)
+        for i in pending:
+            try:
+                results[i] = self._transports[i].result()
+            except RemoteWorkerError as exc:
+                error = error or exc
+            except TransportError as exc:
+                failures[i] = exc
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            # The call itself failed (on a healthy channel, or before it was
+            # sent); recovery would replay the identical failure.
+            raise error
+        for i in sorted(failures):
+            results[i] = self._recover_shard(i, method, calls[i], failures[i])
+        self._record_progress(method, calls, results)
+        return results
+
+    def _recover_shard(self, index: int, method: str, call: tuple, error: TransportError):
+        """Finish ``call`` on shard ``index`` after its channel failed.
+
+        Returns the call's result.  This executor has no replacement for a
+        lost shard and re-raises; the ``tcp`` executor re-places the shard.
+        """
+        raise error
+
+    def _record_progress(self, method: str, calls: list, results: list) -> None:
+        """Hook after every completed protocol call (replay state, timings)."""
 
     def close(self) -> None:
         transports, self._transports = self._transports, []
@@ -356,7 +311,6 @@ def _populate_backends() -> None:
     import repro.distributed.resilience  # noqa: F401  (registers "tcp")
     import repro.distributed.runtime  # noqa: F401  (registers "process")
     import repro.distributed.shm  # noqa: F401  (registers "shm")
-    import repro.distributed.streaming  # noqa: F401  (registers "streaming")
 
 
 _BACKENDS = NamedRegistry("executor backend", populate=_populate_backends)

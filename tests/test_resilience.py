@@ -36,10 +36,10 @@ from repro.distributed import (
     GranularityAwareScheduler,
     HeartbeatMonitor,
     RemoteWorkerError,
-    ResilientTCPExecutor,
     RetryPolicy,
     ShardCache,
     ShardedMGCPL,
+    TCPExecutor,
     TransportError,
     make_executor,
     measured_node_pool,
@@ -250,7 +250,7 @@ class TestRecovery:
             small_clusters.codes, small_clusters.n_categories,
             shard_indices=executor.shard_indices,
         )
-        assert isinstance(executor, ResilientTCPExecutor)
+        assert isinstance(executor, TCPExecutor)
         np.testing.assert_array_equal(
             executor.begin_epoch(3, None).sizes, reference.begin_epoch(3, None).sizes
         )

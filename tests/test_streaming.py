@@ -29,7 +29,13 @@ from repro.core.sync import InProcessShardExecutor, ShardWorker
 from repro.data import make_drift_stream
 from repro.data.generators import make_categorical_clusters
 from repro.data.dataset import CategoricalDataset
-from repro.distributed import StreamingMGCPL, parse_byte_size, shard_content_key
+from repro.distributed import (
+    StreamingMGCPL,
+    TransportError,
+    make_executor,
+    parse_byte_size,
+    shard_content_key,
+)
 from repro.distributed.rpc import WorkerServer, local_worker_pool
 from repro.distributed.shardcache import CACHE_MAX_ENV, ShardCache
 from repro.distributed.streaming import _exact_similarity, _pack_offsets
@@ -345,6 +351,30 @@ class TestWarmRefit:
                 1, max(sizes_before) - min(sizes_before)
             )
             assert shard_of.shape == (4,)
+
+    def test_failed_split_leaves_the_executor_unchanged(
+        self, stream_dataset, tcp_hosts
+    ):
+        codes, cats = stream_dataset.codes, list(stream_dataset.n_categories)
+        labels = np.arange(codes.shape[0], dtype=np.int64) % 3
+        with make_executor("tcp", codes, cats, shards=2, hosts=tcp_hosts) as executor:
+            executor.begin_epoch(3, labels)
+            indices = [idx.copy() for idx in executor.shard_indices]
+            placement = list(executor.placement)
+            for host in range(len(tcp_hosts)):
+                executor._mark_dead(host)
+            with pytest.raises(TransportError, match="no alive host"):
+                executor.split_shard(0)
+            assert executor.n_shards == 2
+            assert executor.placement == placement
+            for got, want in zip(executor.shard_indices, indices):
+                np.testing.assert_array_equal(got, want)
+            merged = executor.rebuild(labels)
+            reference = InProcessShardExecutor(codes, cats, shard_indices=indices)
+            reference.begin_epoch(3, labels)
+            expected = reference.rebuild(labels)
+        np.testing.assert_array_equal(merged.packed, expected.packed)
+        np.testing.assert_array_equal(merged.sizes, expected.sizes)
 
     def test_refit_without_fit_raises(self):
         est = StreamingMGCPL(hosts=["127.0.0.1:1"])

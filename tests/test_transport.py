@@ -37,6 +37,7 @@ from repro.distributed import (
 )
 from repro.distributed import rpc
 from repro.distributed import runtime
+from repro.distributed.resilience import TCPExecutor
 from repro.distributed.transport import (
     ShardExecutor,
     get_backend_spec,
@@ -61,10 +62,28 @@ class TestBackendRegistry:
         names = available_backends()
         assert {"serial", "process", "tcp"} <= set(names)
 
+    def test_canonical_backends_are_exactly_the_four(self):
+        assert set(available_backends()) == {"serial", "process", "shm", "tcp"}
+
     def test_aliases_resolve(self):
         assert resolve_backend("in-process") == "serial"
         assert resolve_backend("TCP") == "tcp"
         assert resolve_backend(" Remote ") == "tcp"
+
+    def test_streaming_names_are_aliases_of_tcp(self):
+        assert resolve_backend("streaming") == resolve_backend("stream") == "tcp"
+        assert get_backend_spec("streaming") is get_backend_spec("tcp")
+
+    def test_streaming_and_tcp_build_the_same_executor(self, small_clusters, tcp_hosts):
+        built = []
+        for name in ("streaming", "tcp"):
+            executor = make_executor(
+                name, small_clusters.codes, small_clusters.n_categories,
+                shards=2, hosts=tcp_hosts,
+            )
+            built.append(type(executor))
+            executor.close()
+        assert built[0] is built[1] is TCPExecutor
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(ValueError, match="available"):
@@ -82,7 +101,9 @@ class TestBackendRegistry:
             "serial", small_clusters.codes, small_clusters.n_categories, shards=3
         )
         assert isinstance(executor, InProcessShardExecutor)
-        assert isinstance(executor, ShardExecutor)  # virtual subclass
+        # A real subclass (in the MRO), not a registered virtual one.
+        assert issubclass(InProcessShardExecutor, ShardExecutor)
+        assert ShardExecutor in InProcessShardExecutor.__mro__
         assert executor.n_shards == 3
         executor.close()
 
@@ -311,6 +332,28 @@ class TestFailurePaths:
         executor.close()  # idempotent
         with pytest.raises(TransportError, match="closed"):
             executor.begin_epoch(2, None)
+
+    @pytest.mark.parametrize("backend", ["process", "shm", "tcp"])
+    def test_failed_call_leaves_no_stale_reply(self, backend, tcp_hosts):
+        """Both shards reject a bad call; the next valid call gets its own
+        replies, not the second shard's pending error."""
+        rng = np.random.default_rng(0)
+        codes = rng.integers(0, 3, size=(60, 4)).astype(np.int64)
+        n_categories = [3] * 4
+        options = {"hosts": tcp_hosts} if backend == "tcp" else {}
+        labels = rng.integers(0, 3, size=60).astype(np.int64)
+        reference = InProcessShardExecutor(
+            codes, n_categories, shard_indices=[np.arange(30), np.arange(30, 60)]
+        )
+        reference.begin_epoch(3, None)
+        with make_executor(backend, codes, n_categories, shards=2, **options) as executor:
+            executor.begin_epoch(3, None)
+            with pytest.raises((ValueError, TransportError), match="2 features"):
+                executor.hamming_assign(np.zeros((3, 2), dtype=np.int64), np.ones(4))
+            merged = executor.rebuild(labels)
+        expected = reference.rebuild(labels)
+        np.testing.assert_array_equal(merged.packed, expected.packed)
+        np.testing.assert_array_equal(merged.sizes, expected.sizes)
 
     def test_process_pool_partial_construction_cleans_up(self, monkeypatch, tiny_clusters):
         """If a later shard's pool fails to start, earlier pools are shut down."""
