@@ -1,27 +1,18 @@
 """Shared wire codec and threaded frame server for every repro network tier.
 
-PR 4 introduced a pickle-free wire format for the multi-host TCP backend:
-every message is one length-prefixed frame whose body is an ``.npz`` archive —
-a ``__meta__`` JSON string (message kind, scalars) plus the numpy arrays,
-written with ``allow_pickle=False`` end to end so arrays round-trip
-bit-exactly.  The serving tier (:mod:`repro.serving`) speaks the same frames,
-so the codec now lives here, shared by both servers:
+Every message is one length-prefixed frame with one body layout, spoken
+by the shard workers, the serving tier (:mod:`repro.serving`), its
+replication stream and its write-ahead log:
 
 * :func:`pack_message` / :func:`unpack_message` — frame body <-> ``(kind,
-  meta, arrays)``.  A body that is not a well-formed archive (truncated zip,
-  malformed JSON, missing ``__meta__``/``kind``) raises
-  :class:`~repro.distributed.transport.TransportError`, never a raw
-  ``zipfile``/``json`` exception — adversarial input must fail cleanly on
-  both ends of the socket.
-* :func:`pack_compact` — the lean single-array body used by the serving
-  tier's pipelined fast path (PR 7).  An npz body costs ~250µs to round-trip
-  even for a one-row predict (zipfile + JSON on both ends), which dominates a
-  micro-query; the compact layout (magic, JSON meta, one raw C-order array)
-  round-trips in a few µs and is bit-exact for the simple numeric dtypes the
-  serving requests use.  :func:`unpack_message` transparently accepts both
-  layouts (compact bodies start with :data:`COMPACT_MAGIC`, npz bodies with
-  ``PK``), so every consumer keeps one decode entry point and fuzzed compact
-  bodies fail with :class:`TransportError` like fuzzed archives do.
+  meta, arrays)``.  The compact layout is a JSON meta (message kind,
+  scalars) followed by the numpy arrays as raw C-order bytes behind
+  bounds-checked headers: pickle-free, bit-exact, a few µs per one-row
+  predict.  Dtypes outside :data:`_COMPACT_DTYPES` or more than 4
+  dimensions raise :class:`~repro.distributed.transport.TransportError` at
+  the sender; a body that is not well formed (no magic, truncated, trailing
+  bytes, bad JSON, no ``kind``, a refused dtype, a duplicate name) raises it
+  at the receiver, never a raw ``json``/``numpy`` exception.
 * :func:`send_frame` / :func:`recv_frame` — the length-prefixed framing with
   a frame-size cap enforced on *both* send and receive, so a corrupt length
   prefix can never turn into a multi-exabyte allocation and an oversized send
@@ -32,9 +23,10 @@ so the codec now lives here, shared by both servers:
   per-operation socket timeouts are likewise configurable through
   ``REPRO_CONNECT_TIMEOUT`` / ``REPRO_IO_TIMEOUT``
   (:func:`default_connect_timeout` / :func:`default_io_timeout`).
-  :func:`recv_frame_interruptible` is the drain-aware variant used by
-  long-lived servers: it polls for the frame's first byte so an idle session
-  can notice a shutdown request instead of blocking in ``recv`` forever.
+  :class:`FrameReader` is the buffered, drain-aware reader long-lived
+  sessions use: one ``recv`` takes a whole burst of pipelined frames, and a
+  poll timeout lets an idle session notice a shutdown request instead of
+  blocking in ``recv`` forever.
 * :class:`ThreadedFrameServer` — the accept-loop skeleton shared by the shard
   worker (:class:`repro.distributed.rpc.WorkerServer`) and the model server
   (:class:`repro.serving.ModelServer`): bind immediately (so ``port=0``
@@ -55,8 +47,8 @@ so the codec now lives here, shared by both servers:
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import os
 import socket
 import struct
@@ -75,11 +67,10 @@ __all__ = [
     "default_connect_timeout",
     "default_io_timeout",
     "pack_message",
-    "pack_compact",
     "unpack_message",
     "send_frame",
     "recv_frame",
-    "recv_frame_interruptible",
+    "FrameReader",
     "wal_record",
     "read_wal_records",
     "parse_address",
@@ -157,257 +148,246 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------- #
-# Codec: frames of (JSON meta + npz arrays)
+# Codec: frames of (JSON meta + raw arrays)
 # ---------------------------------------------------------------------- #
-def pack_message(kind: str, meta: Optional[Dict[str, Any]] = None, **arrays) -> bytes:
-    """Serialise one message into a frame body (npz bytes, pickle-free)."""
-    buffer = io.BytesIO()
-    payload = {"kind": kind, **(meta or {})}
-    np.savez(buffer, __meta__=np.asarray(json.dumps(payload)), **arrays)
-    return buffer.getvalue()
-
-
-#: First bytes of a compact body.  An npz body is a zip archive and always
-#: starts with ``PK``, so the two layouts can never be confused.
+#: First bytes of every frame body.
 COMPACT_MAGIC = b"RFC1"
 
-#: Dtypes a compact body may carry: fixed-width little-endian numerics and
-#: bools.  Anything else (objects, strings, big-endian exotica) goes through
-#: the general npz layout.
-_COMPACT_DTYPES = ("<i8", "<f8", "<i4", "|u1", "|b1")
+#: Dtypes a frame may carry: fixed-width little-endian numerics and bools.
+#: Anything else is refused at the sender and by the receiver.
+_COMPACT_DTYPES = {name: np.dtype(name) for name in ("<i8", "<f8", "<i4", "|u1", "|b1")}
 
-_U32 = struct.Struct(">I")
-_U8 = struct.Struct(">B")
+#: ``u8 dtype_len | dtype str`` of each allowed dtype, as the sender writes it.
+_DTYPE_FIELDS = {dtype: bytes((len(n),)) + n.encode() for n, dtype in _COMPACT_DTYPES.items()}
+_FIELD_DTYPES = {field: dtype for dtype, field in _DTYPE_FIELDS.items()}
+
+#: Meta key naming the array count of a body with two or more arrays, so a
+#: body cut at a record boundary cannot pass for a shorter message.
+_ARRAY_COUNT = "__arrays__"
+
+#: What follows the meta of a body that carries no array.
+_NO_ARRAYS = b"\x00\x00"
+
+#: ``RFC1 | u32 meta_len``.
+_HEAD = struct.Struct(">4sI")
+
+#: ``u8 ndim | ndim * u32 shape`` for each allowed ndim.
+_SHAPES = [struct.Struct(f">B{ndim}I") for ndim in range(5)]
+
+_JSON = json.JSONDecoder()
 
 
-def pack_compact(kind: str, meta: Optional[Dict[str, Any]] = None, **arrays) -> bytes:
-    """Serialise one message into the lean single-array body.
+def pack_message(kind: str, meta: Optional[Dict[str, Any]] = None, **arrays) -> bytes:
+    """Serialise one message into a frame body: ``RFC1 | u32 meta_len | meta
+    JSON (with "kind")``, then per array ``u8 name_len | name | u8 dtype_len
+    | dtype str | u8 ndim | ndim * u32 shape | raw C-order bytes``.
 
-    Layout: ``RFC1 | u32 meta_len | meta JSON (with "kind") | u8 name_len |
-    array name | u8 dtype_len | dtype str | u8 ndim | ndim * u32 shape | raw
-    C-order bytes``.  At most one array, of a :data:`_COMPACT_DTYPES` dtype;
-    messages the layout cannot carry fall back to :func:`pack_message`, so
-    callers can use this unconditionally on their fast paths —
-    :func:`unpack_message` accepts either result.
+    A body with no array ends in ``\\x00\\x00``; one with two or more names
+    their count in the meta.  An array the header cannot describe raises
+    :class:`TransportError` here, at the sender.
     """
+    payload = {"kind": kind, **meta} if meta else {"kind": kind}
     if len(arrays) > 1:
-        return pack_message(kind, meta, **arrays)
-    name, array = next(iter(arrays.items())) if arrays else ("", None)
-    if array is not None:
-        array = np.asarray(array)
-        if array.dtype.str not in _COMPACT_DTYPES or array.ndim > 4:
-            return pack_message(kind, meta, **arrays)
-        if array.ndim:  # ascontiguousarray would promote a 0-d array to 1-d
-            array = np.ascontiguousarray(array)
-    meta_bytes = json.dumps({"kind": kind, **(meta or {})}).encode("utf-8")
-    name_bytes = name.encode("utf-8")
-    if len(meta_bytes) > 0xFFFFFFFF or len(name_bytes) > 0xFF:
-        return pack_message(kind, meta, **arrays)
-    parts = [COMPACT_MAGIC, _U32.pack(len(meta_bytes)), meta_bytes,
-             _U8.pack(len(name_bytes)), name_bytes]
-    if array is None:
-        parts.append(_U8.pack(0))  # dtype_len 0 == no array
-    else:
-        dtype_bytes = array.dtype.str.encode("ascii")
-        parts.append(_U8.pack(len(dtype_bytes)))
-        parts.append(dtype_bytes)
-        parts.append(_U8.pack(array.ndim))
-        for dim in array.shape:
-            if dim > 0xFFFFFFFF:
-                return pack_message(kind, meta, **arrays)
-            parts.append(_U32.pack(dim))
-        parts.append(array.tobytes())
+        payload[_ARRAY_COUNT] = len(arrays)
+    meta_bytes = json.dumps(payload).encode("utf-8")
+    parts = [_HEAD.pack(COMPACT_MAGIC, len(meta_bytes)), meta_bytes]
+    if not arrays:
+        parts.append(_NO_ARRAYS)
+    for name, value in arrays.items():
+        array = np.asarray(value)
+        name_bytes = name.encode("utf-8")
+        dtype_field = _DTYPE_FIELDS.get(array.dtype)
+        try:
+            if dtype_field is None or len(name_bytes) > 0xFF:
+                raise struct.error
+            shape = _SHAPES[array.ndim].pack(array.ndim, *array.shape)
+        except (struct.error, IndexError):  # a dim over 2**32 - 1, or ndim > 4
+            raise TransportError(
+                f"cannot send array {name!r} of {kind!r}: dtype {array.dtype.str}, "
+                f"shape {array.shape} (frames carry {', '.join(_COMPACT_DTYPES)} "
+                "arrays of at most 4 dimensions)"
+            ) from None
+        parts += [
+            bytes((len(name_bytes),)), name_bytes, dtype_field, shape,
+            array.tobytes(),  # C order, whatever the input's strides
+        ]
     return b"".join(parts)
 
 
-class _CompactReader:
-    """Cursor over a compact body; every read is bounds-checked."""
-
-    def __init__(self, body: bytes) -> None:
-        self.body = body
-        self.offset = len(COMPACT_MAGIC)
-
-    def take(self, n: int) -> bytes:
-        end = self.offset + n
-        if n < 0 or end > len(self.body):
-            raise TransportError(
-                f"malformed compact frame: truncated at byte {self.offset}"
-            )
-        chunk = self.body[self.offset : end]
-        self.offset = end
-        return chunk
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
+#: The older name of :func:`pack_message`, which perfbench imports and traces.
+pack_compact = pack_message
 
 
-def _unpack_compact(body: bytes) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
-    reader = _CompactReader(body)
+def _malformed(detail: str) -> TransportError:
+    return TransportError(f"malformed compact frame: {detail}")
+
+
+def _read_array(body: bytes, offset: int) -> Tuple[str, np.ndarray, int]:
+    """The array record at ``offset``: ``(name, array, end offset)``.  Every
+    length is checked against the body, in Python ints that cannot wrap."""
     try:
-        meta = json.loads(reader.take(reader.u32()).decode("utf-8"))
-        kind = meta.pop("kind")
-        if not isinstance(meta, dict) or not isinstance(kind, str):
-            raise TypeError("compact meta must be a JSON object with a string 'kind'")
-        name = reader.take(reader.u8()).decode("utf-8")
-        dtype_str = reader.take(reader.u8()).decode("ascii")
-    except TransportError:
-        raise
-    except Exception as exc:
-        raise TransportError(f"malformed compact frame: {exc}") from exc
-    if not dtype_str:
-        if reader.offset != len(body):
-            raise TransportError("malformed compact frame: trailing bytes after meta")
-        return kind, meta, {}
-    if dtype_str not in _COMPACT_DTYPES:
-        raise TransportError(
-            f"malformed compact frame: dtype {dtype_str!r} is not allowed"
-        )
-    dtype = np.dtype(dtype_str)
-    ndim = reader.u8()
+        name_end = offset + 1 + body[offset]
+        dtype_end = name_end + 1 + body[name_end]
+        ndim = body[dtype_end]
+    except IndexError:
+        raise _malformed(f"truncated at byte {offset}") from None
+    dtype = _FIELD_DTYPES.get(body[name_end:dtype_end])
+    if dtype is None:
+        raise _malformed(f"dtype {body[name_end + 1 : dtype_end]!r} is not allowed")
     if ndim > 4:
-        raise TransportError(f"malformed compact frame: {ndim} dimensions")
-    shape = tuple(reader.u32() for _ in range(ndim))
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-    raw = reader.take(expected)
-    if reader.offset != len(body):
-        raise TransportError("malformed compact frame: trailing bytes after array")
-    array = np.frombuffer(raw, dtype=dtype)
-    if ndim == 0:
-        array = array.reshape(())
-    else:
-        array = array.reshape(shape)
-    # .copy() so consumers get a writable, owned array (frombuffer views the
-    # frame bytes read-only) — same contract as arrays out of an npz body.
-    return kind, meta, {name: array.copy()}
+        raise _malformed(f"{ndim} dimensions")
+    header = _SHAPES[ndim]
+    start = dtype_end + header.size
+    if start > len(body):
+        raise _malformed(f"truncated at byte {dtype_end}")
+    shape = header.unpack_from(body, dtype_end)[1:]
+    count = math.prod(shape)
+    end = start + count * dtype.itemsize
+    if end > len(body):
+        raise _malformed(f"truncated at byte {start}")
+    try:
+        name = body[offset + 1 : name_end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _malformed(str(exc)) from None
+    # .copy(): writable and owning its memory, not a read-only view of the body.
+    return name, np.frombuffer(body, dtype, count, start).reshape(shape).copy(), end
 
 
 def unpack_message(body: bytes) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
-    """Inverse of :func:`pack_message` / :func:`pack_compact`.
-
-    Dispatches on the body's leading bytes (:data:`COMPACT_MAGIC` vs a zip
-    archive) and returns ``(kind, meta, arrays)`` either way.  Malformed
-    bodies — truncated archives or compact headers, garbage bytes, bad JSON,
-    a missing ``__meta__`` entry or ``kind`` key — raise
-    :class:`TransportError` so a fuzzed or corrupted frame fails identically
-    on every consumer instead of leaking ``zipfile``/``json``/``KeyError``
-    internals.
-    """
-    if body[: len(COMPACT_MAGIC)] == COMPACT_MAGIC:
-        return _unpack_compact(body)
+    """Inverse of :func:`pack_message`.  Any body that is not well formed —
+    no :data:`COMPACT_MAGIC`, truncated, over-long, bad meta, a refused
+    dtype, a duplicate name, a wrong array count — raises
+    :class:`TransportError`, the same on every consumer."""
+    if body[: len(COMPACT_MAGIC)] != COMPACT_MAGIC:
+        raise TransportError(f"malformed frame: body does not start with {COMPACT_MAGIC!r}")
+    size = len(body)
     try:
-        with np.load(io.BytesIO(body), allow_pickle=False) as archive:
-            meta = json.loads(str(archive["__meta__"]))
-            arrays = {name: archive[name] for name in archive.files if name != "__meta__"}
+        offset = _HEAD.size + _HEAD.unpack_from(body)[1]
+        if offset > size:
+            raise ValueError("truncated meta")
+        text = body[_HEAD.size : offset].decode("utf-8")
+        meta, end = _JSON.raw_decode(text)
+        if end != len(text):
+            raise ValueError("trailing bytes after the meta JSON")
         kind = meta.pop("kind")
-        if not isinstance(meta, dict) or not isinstance(kind, str):
-            raise TypeError("frame meta must be a JSON object with a string 'kind'")
-    except TransportError:
-        raise
+        count = meta.pop(_ARRAY_COUNT, None)
+        if not isinstance(kind, str):
+            raise TypeError("compact meta must be a JSON object with a string 'kind'")
     except Exception as exc:
-        raise TransportError(f"malformed frame: {exc}") from exc
+        raise _malformed(str(exc)) from exc
+    if count is None and size - offset == len(_NO_ARRAYS) and body[offset:] == _NO_ARRAYS:
+        return kind, meta, {}
+    arrays: Dict[str, np.ndarray] = {}
+    while offset < size:
+        name, array, offset = _read_array(body, offset)
+        if name in arrays:
+            raise _malformed(f"duplicate array {name!r}")
+        arrays[name] = array
+    if len(arrays) != (count or 1):
+        raise _malformed(f"{len(arrays)} arrays, expected {count or 1}")
     return kind, meta, arrays
 
 
-def send_frame(sock: socket.socket, body: bytes, max_frame: Optional[int] = None) -> None:
+def send_frame(sock: socket.socket, *bodies: bytes, max_frame: Optional[int] = None) -> None:
+    """Send each body as one length-prefixed frame, all in one ``sendall``."""
     cap = frame_cap() if max_frame is None else int(max_frame)
-    if len(body) > cap:
-        # Enforced on both ends: failing here names the real problem instead
-        # of the receiver dropping the connection and the sender reporting a
-        # phantom worker death.
-        raise TransportError(
-            f"frame of {len(body)} bytes exceeds the {cap} cap; "
-            "use more (smaller) shards, or raise REPRO_MAX_FRAME"
-        )
+    parts = []
+    for body in bodies:
+        if len(body) > cap:
+            # Enforced on both ends: failing here names the real problem
+            # instead of the receiver dropping the connection and the sender
+            # reporting a phantom worker death.
+            raise TransportError(
+                f"frame of {len(body)} bytes exceeds the {cap} cap; "
+                "use more (smaller) shards, or raise REPRO_MAX_FRAME"
+            )
+        parts += [_LEN.pack(len(body)), body]
     try:
-        sock.sendall(_LEN.pack(len(body)) + body)
+        sock.sendall(b"".join(parts))
     except OSError as exc:
         raise TransportError(f"connection lost while sending: {exc}") from exc
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except OSError as exc:
-            raise TransportError(f"connection lost while receiving: {exc}") from exc
-        if not chunk:
-            raise TransportError(
-                "peer closed the connection mid-frame (worker died or was killed?)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _checked_length(header: bytes, max_frame: Optional[int] = None) -> int:
-    cap = frame_cap() if max_frame is None else int(max_frame)
-    (length,) = _LEN.unpack(header)
-    if length > cap:
-        raise TransportError(f"frame of {length} bytes exceeds the {cap} cap")
-    return int(length)
-
-
 def recv_frame(sock: socket.socket, max_frame: Optional[int] = None) -> bytes:
-    return _recv_exact(sock, _checked_length(_recv_exact(sock, _LEN.size), max_frame))
+    """One frame body, reading nothing past it off the socket."""
+    return FrameReader(sock, max_frame, greedy=False).read()
 
 
-def _recv_exact_interruptible(
-    sock: socket.socket, n: int, stop_requested: Callable[[], bool]
-) -> Optional[bytes]:
-    """``_recv_exact`` over a poll-timeout socket; ``None`` once stop is requested."""
-    chunks = []
-    remaining = n
-    while remaining:
-        if stop_requested():
-            return None
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except socket.timeout:
-            continue
-        except OSError as exc:
-            raise TransportError(f"connection lost while receiving: {exc}") from exc
-        if not chunk:
-            raise TransportError("peer closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+class FrameReader:
+    """Reader of the frames arriving on one socket; length prefixes are
+    checked against the frame cap before any body is buffered.
 
-
-def recv_frame_interruptible(
-    sock: socket.socket,
-    stop_requested: Callable[[], bool],
-    poll_interval: float = 0.2,
-    max_frame: Optional[int] = None,
-) -> Optional[bytes]:
-    """Like :func:`recv_frame`, but returns ``None`` once shutdown is requested.
-
-    A long-lived session blocks here between requests; a plain ``recv`` would
-    keep a draining server waiting on every idle client.  This variant reads
-    with a poll timeout and checks ``stop_requested()`` between polls — while
-    idle *and* mid-frame, so a stalled peer (one header byte, then silence)
-    can never park the session thread past a drain.  A request abandoned
-    mid-frame at shutdown was never fully received, so nothing acknowledged
-    is lost.  The socket's timeout is restored on exit.
+    A ``greedy`` reader takes everything the peer has sent so far in one
+    ``recv``, so a pipelining peer's frames cost one system call per burst;
+    it must then be the socket's only reader, as it may hold bytes of frames
+    it has not returned yet.
     """
-    previous_timeout = sock.gettimeout()
-    try:
-        sock.settimeout(poll_interval)
-        header = _recv_exact_interruptible(sock, _LEN.size, stop_requested)
-        if header is None:
-            return None
-        return _recv_exact_interruptible(
-            sock, _checked_length(header, max_frame), stop_requested
-        )
-    finally:
-        try:
-            sock.settimeout(previous_timeout)
-        except OSError:  # pragma: no cover - socket already torn down
-            pass
+
+    def __init__(
+        self, sock: socket.socket, max_frame: Optional[int] = None, greedy: bool = True
+    ) -> None:
+        self.sock = sock
+        self._cap = frame_cap() if max_frame is None else int(max_frame)
+        self._chunk = 1 << 16 if greedy else 1
+        self._buffer = bytearray()
+        self._start = 0  # where the next unread frame begins in the buffer
+
+    def _missing(self) -> int:
+        """Bytes still to receive before the next frame is whole (0: it is)."""
+        have = len(self._buffer) - self._start
+        if have < _LEN.size:
+            return _LEN.size - have
+        (length,) = _LEN.unpack_from(self._buffer, self._start)
+        if length > self._cap:
+            raise TransportError(f"frame of {length} bytes exceeds the {self._cap} cap")
+        return max(0, _LEN.size + length - have)
+
+    def read(
+        self,
+        stop_requested: Optional[Callable[[], bool]] = None,
+        poll_interval: float = 0.2,
+    ) -> Optional[bytes]:
+        """The next frame body; :class:`TransportError` if the connection is
+        lost or closed.
+
+        With ``stop_requested`` the socket is polled every ``poll_interval``
+        seconds and ``None`` returned once it reports true, idle *or*
+        mid-frame, so a stalled peer can never park a draining server (a
+        request cut off mid-frame was never acknowledged).  The socket's
+        timeout is restored on exit.
+        """
+        missing = self._missing()
+        if missing:
+            del self._buffer[: self._start]  # drop the frames already returned
+            self._start = 0
+            previous_timeout = self.sock.gettimeout()
+            if stop_requested is not None:
+                self.sock.settimeout(poll_interval)
+            try:
+                while missing:
+                    if stop_requested is not None and stop_requested():
+                        return None
+                    try:
+                        chunk = self.sock.recv(min(max(self._chunk, missing), 1 << 20))
+                    except OSError as exc:
+                        if stop_requested is not None and isinstance(exc, socket.timeout):
+                            continue
+                        raise TransportError(f"connection lost while receiving: {exc}") from exc
+                    if not chunk:
+                        raise TransportError("peer closed the connection")
+                    self._buffer += chunk
+                    missing = self._missing()
+            finally:
+                if stop_requested is not None:
+                    try:
+                        self.sock.settimeout(previous_timeout)
+                    except OSError:  # pragma: no cover - socket already torn down
+                        pass
+        (length,) = _LEN.unpack_from(self._buffer, self._start)
+        start = self._start + _LEN.size
+        self._start = start + length
+        with memoryview(self._buffer) as view:
+            return bytes(view[start : self._start])
 
 
 # ---------------------------------------------------------------------- #

@@ -3,9 +3,9 @@
 The LocalUpdate/GlobalStep decomposition makes the multi-host case cheap:
 per sweep only ``O(k * M)`` count statistics and the shard's labels travel,
 so a plain TCP socket per shard is plenty.  Two layers live here (the wire
-codec itself — length-prefixed JSON+npz frames, ``allow_pickle=False`` end to
-end, arrays round-tripping bit-exactly — is shared with the serving tier and
-lives in :mod:`repro.distributed.codec`):
+codec itself — length-prefixed frames of a JSON meta plus raw arrays,
+pickle-free, arrays round-tripping bit-exactly — is shared with the serving
+tier and lives in :mod:`repro.distributed.codec`):
 
 * **Worker** — :class:`WorkerServer` listens on ``host:port`` (the
   ``repro worker --listen`` CLI subcommand hosts one).  Each coordinator
@@ -23,8 +23,9 @@ lives in :mod:`repro.distributed.codec`):
 
 A worker that dies mid-sweep (connection reset / EOF) raises
 :class:`~repro.distributed.transport.TransportError` on the coordinator —
-never a hang — and a malformed frame (fuzzed bytes, truncated archive, a
-corrupt length prefix) ends the session cleanly on the worker.  The protocol
+never a hang — and a malformed frame (fuzzed bytes, a truncated body, a
+corrupt length prefix) ends the session cleanly on the worker; an
+undecodable ``hello`` is answered with an ``error`` frame first.  The protocol
 is trusted-network plumbing: no authentication or encryption; run it on
 cluster-internal interfaces only.
 
@@ -326,7 +327,11 @@ def _serve_session(conn: socket.socket, shard_cache: Optional[ShardCache] = None
     re-raise them; transport-level failures end the session.
     """
     try:
-        kind, meta, arrays = unpack_message(recv_frame(conn))
+        try:
+            kind, meta, arrays = unpack_message(recv_frame(conn))
+        except TransportError as exc:  # e.g. an .npz hello: refuse, end
+            send_frame(conn, pack_message("error", {"error": "ProtocolError", "message": str(exc)}))
+            return
         if kind != "hello":
             send_frame(conn, pack_message("error", {
                 "error": "ProtocolError", "message": f"expected hello, got {kind!r}",

@@ -21,7 +21,6 @@ Fig. 6         :func:`run_fig6`                            ``repro.experiments.f
 
 from repro.experiments.config import ExperimentConfig, FAST_CONFIG, PAPER_CONFIG
 from repro.experiments.runner import (
-    make_method,
     make_paper_method,
     method_names,
     run_method_on_dataset,
@@ -37,7 +36,6 @@ __all__ = [
     "ExperimentConfig",
     "FAST_CONFIG",
     "PAPER_CONFIG",
-    "make_method",
     "make_paper_method",
     "method_names",
     "run_method_on_dataset",

@@ -4,7 +4,7 @@ The roadmap's north star is serving heavy traffic from fitted models; this
 package is that tier.  A :class:`ModelServer` loads an ``.npz`` model archive
 once (:func:`repro.persistence.load_model`) and answers ``predict`` /
 ``ingest`` / ``info`` / ``snapshot`` requests over the same length-prefixed
-JSON+npz frames as the multi-host shard workers
+frames (a JSON meta plus raw arrays) as the multi-host shard workers
 (:mod:`repro.distributed.codec`), with concurrent read-locked predicts,
 serialized exact-merge ingests, atomic write-temp-then-rename snapshots
 back to disk, and an optional write-ahead ingest log (``wal=True``) that

@@ -20,7 +20,7 @@ same connection::
 
     labels = client.map_predict(batches)        # submit-all + gather, in order
 
-Tagged requests go out back-to-back on the compact fast-path body layout;
+Tagged requests go out back-to-back on one connection;
 the server coalesces whatever is queued into single kernel calls
 (micro-batching) and answers each tag — possibly out of order.  Responses
 are matched by tag, never by position, and every reply is bit-identical to
@@ -78,9 +78,9 @@ import numpy as np
 
 from repro.core.base import ArrayOrDataset, extract_codes
 from repro.distributed.codec import (
+    FrameReader,
     default_connect_timeout,
     default_io_timeout,
-    pack_compact,
     pack_message,
     parse_address,
     recv_frame,
@@ -181,6 +181,7 @@ class ServingClient:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self._sock: Optional[socket.socket] = None
+        self._reader: Optional[FrameReader] = None
         self._next_tag = 0
         self._pending: Dict[int, PendingPredict] = {}
         #: The server's welcome meta (model class, k, counters at connect).
@@ -232,7 +233,7 @@ class ServingClient:
             except OSError:  # pragma: no cover
                 pass
             raise
-        self._sock = sock
+        self._sock, self._reader = sock, FrameReader(sock)
         return self
 
     def close(self) -> None:
@@ -241,7 +242,7 @@ class ServingClient:
         Any still-outstanding pipelined predicts fail with a transport error
         (their replies can no longer arrive on this connection).
         """
-        sock, self._sock = self._sock, None
+        sock, self._sock, self._reader = self._sock, None, None
         if sock is not None:
             try:
                 sock.close()
@@ -279,8 +280,8 @@ class ServingClient:
 
     def _recv_reply(self) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
         try:
-            return unpack_message(recv_frame(self._sock))
-        except (TransportError, socket.timeout) as exc:
+            return unpack_message(self._reader.read())
+        except TransportError as exc:
             raise self._transport_failed(exc) from exc
 
     def _route_tagged(
@@ -365,7 +366,7 @@ class ServingClient:
         future = PendingPredict(self, tag, int(codes.shape[0]))
         self._pending[tag] = future
         try:
-            send_frame(self._sock, pack_compact("predict", {"tag": tag}, codes=codes))
+            send_frame(self._sock, pack_message("predict", {"tag": tag}, codes=codes))
         except (TransportError, socket.timeout) as exc:
             raise self._transport_failed(exc) from exc
         return future

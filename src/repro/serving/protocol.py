@@ -4,9 +4,10 @@ The model server speaks the same length-prefixed frames as the shard worker
 (:mod:`repro.distributed.codec`), so a message is always ``(kind, meta,
 arrays)`` and arrays round-trip bit-exactly — which is what makes a loopback
 ``ServingClient.predict`` bit-identical to calling ``predict`` on the model
-in process.  Two body layouts share the framing: the general JSON+npz
-archive, and the compact single-array layout (``pack_compact``) used by the
-pipelined fast path — receivers accept either.
+in process.  Every body has the one layout of
+:func:`~repro.distributed.codec.pack_message`; any other (such as the
+``.npz`` archives older builds sent) is refused, a ``hello`` with an
+``error`` frame.
 
 Session shape (one TCP connection):
 
@@ -86,8 +87,8 @@ __all__ = [
     "check_welcome",
 ]
 
-#: Version 2 adds tagged (pipelined, out-of-order) requests, the compact
-#: body layout on the predict fast path, and the ``replicate`` stream.
+#: Version 2 adds tagged (pipelined, out-of-order) requests and the
+#: ``replicate`` stream.
 SERVING_PROTOCOL_VERSION = 2
 
 #: Distinguishes a model server from a shard worker in the handshake, so a

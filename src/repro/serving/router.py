@@ -50,12 +50,12 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.distributed.codec import (
+    FrameReader,
     ThreadedFrameServer,
     default_connect_timeout,
     pack_message,
     parse_address,
     recv_frame,
-    recv_frame_interruptible,
     send_frame,
     unpack_message,
 )
@@ -165,11 +165,10 @@ class _RouterSession:
 
     def _relay(self) -> None:
         """Pump every frame from the read backend straight to the client."""
+        reader = FrameReader(self.pipe_conn)
         try:
             while True:
-                body = recv_frame_interruptible(
-                    self.pipe_conn, lambda: self.dead or self.router._closing.is_set()
-                )
+                body = reader.read(lambda: self.dead or self.router._closing.is_set())
                 if body is None:
                     return
                 self.send(body)
@@ -387,11 +386,16 @@ class ServingRouter(ThreadedFrameServer):
 
     def handle_session(self, conn: socket.socket) -> None:
         session = _RouterSession(self, conn)
+        reader = FrameReader(conn)
         try:
-            body = recv_frame_interruptible(conn, self._closing.is_set)
+            body = reader.read(self._closing.is_set)
             if body is None:
                 return
-            kind, meta, _ = unpack_message(body)
+            try:
+                kind, meta, _ = unpack_message(body)
+            except TransportError as exc:  # e.g. an .npz hello: refuse, end
+                session.send(error_body(exc, include_traceback=False))
+                return
             if kind != "hello" or meta.get("service") != SERVICE_NAME:
                 session.send(error_body(
                     TransportError(f"expected a {SERVICE_NAME} hello, got {kind!r}"),
@@ -408,9 +412,7 @@ class ServingRouter(ThreadedFrameServer):
                 return
             session.send(pack_message("welcome", self.info()))
             while not session.dead:
-                body = recv_frame_interruptible(
-                    conn, lambda: session.dead or self._closing.is_set()
-                )
+                body = reader.read(lambda: session.dead or self._closing.is_set())
                 if body is None:
                     return
                 kind, meta, _ = unpack_message(body)

@@ -92,6 +92,8 @@ queued batcher items) finish and are answered, then the final snapshot lands.
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import queue
 import socket
@@ -108,13 +110,12 @@ import numpy as np
 
 from repro.core.base import BaseClusterer
 from repro.distributed.codec import (
+    FrameReader,
     ThreadedFrameServer,
-    pack_compact,
     pack_message,
     parse_address,
     read_wal_records,
     recv_frame,
-    recv_frame_interruptible,
     send_frame,
     unpack_message,
     wal_record,
@@ -187,6 +188,24 @@ class WriteAheadLog:
             return [], 0, 0
         bodies, clean = read_wal_records(raw)
         return bodies, clean, len(raw) - clean
+
+    @staticmethod
+    def decode(body: bytes) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
+        """One record body as ``(kind, meta, arrays)``.  Logs written before
+        the wire had one frame layout hold ``.npz`` bodies (starting ``PK``):
+        this is the one place that still reads them, so those logs recover."""
+        if body[:2] != b"PK":
+            return unpack_message(body)
+        try:
+            with np.load(io.BytesIO(body), allow_pickle=False) as archive:
+                meta = json.loads(str(archive["__meta__"]))
+                arrays = {name: archive[name] for name in archive.files if name != "__meta__"}
+            kind = meta.pop("kind")
+            if not isinstance(kind, str):
+                raise TypeError("frame meta must be a JSON object with a string 'kind'")
+        except Exception as exc:
+            raise TransportError(f"malformed frame: {exc}") from exc
+        return kind, meta, arrays
 
     def truncate_to(self, offset: int) -> None:
         """Drop everything past ``offset`` (discarding a torn tail)."""
@@ -300,14 +319,14 @@ class _SessionSink:
         self._outstanding = 0
         self.dead = False
 
-    def send(self, body: bytes) -> None:
+    def send(self, *bodies: bytes) -> None:
         with self._send_lock:
-            send_frame(self.conn, body)
+            send_frame(self.conn, *bodies)
 
-    def send_quiet(self, body: bytes) -> None:
+    def send_quiet(self, *bodies: bytes) -> None:
         """Send from a shared thread: a dead session must not raise here."""
         try:
-            self.send(body)
+            self.send(*bodies)
         except (TransportError, OSError):
             self.dead = True
 
@@ -315,15 +334,21 @@ class _SessionSink:
         with self._cond:
             self._outstanding += 1
 
-    def end_async(self) -> None:
+    def end_async(self, count: int = 1) -> None:
         with self._cond:
-            self._outstanding -= 1
+            self._outstanding -= count
             if self._outstanding <= 0:
                 self._cond.notify_all()
 
     def wait_async_drained(self, timeout: float) -> bool:
         with self._cond:
             return self._cond.wait_for(lambda: self._outstanding <= 0, timeout)
+
+
+def _labels_body(labels: np.ndarray, tag: Optional[int]) -> bytes:
+    """A predict's ``labels`` reply; a tagged request gets its tag back."""
+    extra = {} if tag is None else {"tag": tag}
+    return pack_message("labels", {**extra, "n": int(labels.shape[0])}, labels=labels)
 
 
 class _BatchItem:
@@ -345,22 +370,11 @@ class _BatchItem:
         self.error: Optional[BaseException] = None
         self.arrived = time.monotonic()
 
-    def finish(self) -> None:
-        if self.sink is None:
-            self.event.set()
-            return
-        try:
-            if self.error is not None:
-                body = error_body(self.error, tag=self.tag)
-            else:
-                body = pack_compact(
-                    "labels",
-                    {"tag": self.tag, "n": int(self.labels.shape[0])},
-                    labels=self.labels,
-                )
-            self.sink.send_quiet(body)
-        finally:
-            self.sink.end_async()
+    def reply(self) -> bytes:
+        """The answer frame: the labels, or the error, carrying the tag."""
+        if self.error is not None:
+            return error_body(self.error, tag=self.tag)
+        return _labels_body(self.labels, self.tag)
 
 
 class _PredictBatcher:
@@ -464,8 +478,19 @@ class _PredictBatcher:
         except Exception as exc:  # noqa: BLE001 - delivered per item
             for item in batch:
                 item.error = exc
+        # Pipelined replies go out in one send per session; a strict item's
+        # session thread sends its own reply, in order.
+        pipelined: Dict[_SessionSink, List[_BatchItem]] = {}
         for item in batch:
-            item.finish()
+            if item.sink is None:
+                item.event.set()
+            else:
+                pipelined.setdefault(item.sink, []).append(item)
+        for sink, items in pipelined.items():
+            try:
+                sink.send_quiet(*[item.reply() for item in items])
+            finally:
+                sink.end_async(len(items))
 
 
 class _Subscriber:
@@ -711,7 +736,7 @@ class ModelServer(ThreadedFrameServer):
         bodies, clean_offset, torn_bytes = WriteAheadLog.read(path)
         applied = objects = 0
         for body in bodies:
-            kind, meta, arrays = unpack_message(body)
+            kind, meta, arrays = WriteAheadLog.decode(body)
             if kind != "wal" or "base_n" not in meta:
                 raise TransportError(
                     f"{path}: malformed log record (kind {kind!r}); refusing "
@@ -840,11 +865,16 @@ class ModelServer(ThreadedFrameServer):
     # ------------------------------------------------------------------ #
     def handle_session(self, conn: socket.socket) -> None:
         sink = _SessionSink(conn)
+        reader = FrameReader(conn)
         try:
-            body = recv_frame_interruptible(conn, self._closing.is_set)
+            body = reader.read(self._closing.is_set)
             if body is None:
                 return  # draining before the handshake arrived
-            kind, meta, arrays = unpack_message(body)
+            try:
+                kind, meta, arrays = unpack_message(body)
+            except TransportError as exc:  # e.g. an .npz hello: refuse, end
+                sink.send(error_body(exc, include_traceback=False))
+                return
             if kind != "hello" or meta.get("service") != SERVICE_NAME:
                 sink.send(error_body(
                     TransportError(f"expected a {SERVICE_NAME} hello, got {kind!r}"),
@@ -862,7 +892,7 @@ class ModelServer(ThreadedFrameServer):
             conn.settimeout(self.session_send_timeout)
             sink.send(pack_message("welcome", self.info()))
             while not sink.dead:
-                body = recv_frame_interruptible(conn, self._closing.is_set)
+                body = reader.read(self._closing.is_set)
                 if body is None:
                     return  # draining; the client reconnects elsewhere
                 kind, meta, arrays = unpack_message(body)
@@ -928,12 +958,7 @@ class ModelServer(ThreadedFrameServer):
                 if thread is not None and not thread.is_alive():
                     item.error = RuntimeError("predict batcher exited")
                     break
-            if item.error is not None:
-                sink.send(error_body(item.error, tag=tag))
-            else:
-                sink.send(pack_message(
-                    "labels", {"n": int(item.labels.shape[0])}, labels=item.labels
-                ))
+            sink.send(item.reply())
 
     def _dispatch(
         self,
@@ -947,11 +972,7 @@ class ModelServer(ThreadedFrameServer):
             codes = np.asarray(arrays["codes"], dtype=np.int64)
             with self._lock.read():
                 labels = self.model.predict(codes)
-            if tag is not None:
-                return pack_compact(
-                    "labels", {"tag": tag, "n": int(labels.shape[0])}, labels=labels
-                )
-            return pack_message("labels", {"n": int(labels.shape[0])}, labels=labels)
+            return _labels_body(labels, tag)
         if kind == "ingest":
             if self.is_replica:
                 raise RuntimeError(
@@ -1210,16 +1231,18 @@ class ModelServer(ThreadedFrameServer):
         """Replica: apply the primary's delta stream; resync on any break."""
         sock = self._replication_sock
         self._replication_sock = None
+        reader = None if sock is None else FrameReader(sock)
         while not self._closing.is_set():
             try:
                 if sock is None:
                     sock, model, seq = self._open_replication_stream(self.connect_timeout)
+                    reader = FrameReader(sock)
                     with self._lock.write():
                         self.model = model
                         self.replica_seq = seq
                         if model.assignment_model_ is not None:
                             _ = model.assignment_model_.modes
-                body = recv_frame_interruptible(sock, self._closing.is_set)
+                body = reader.read(self._closing.is_set)
                 if body is None:
                     break  # draining
                 kind, meta, arrays = unpack_message(body)

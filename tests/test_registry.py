@@ -1,4 +1,4 @@
-"""The clusterer registry: completeness, aliases, construction, deprecation."""
+"""The clusterer registry: completeness, aliases, construction, paper presets."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.distributed.runtime import ShardedCAME, ShardedMCDC, ShardedMGCPL
 from repro.experiments.runner import (
     METHOD_NAMES,
     PAPER_METHOD_PARAMS,
-    make_method,
     make_paper_method,
 )
 from repro.registry import (
@@ -135,14 +134,9 @@ class TestPaperFactory:
         with pytest.raises(ValueError, match="compared methods"):
             make_paper_method("competitive", n_clusters=3, seed=0)
 
-    def test_make_method_is_a_deprecated_shim(self):
-        with pytest.deprecated_call():
-            model = make_method("MCDC+F.", 3, 0)
-        assert isinstance(model, MCDC)
-        assert type(model.final_clusterer).__name__ == "FKMAWCW"
-
     @pytest.mark.parametrize("name", METHOD_NAMES)
     def test_old_names_still_resolve_through_the_shim(self, name):
-        with pytest.deprecated_call():
-            model = make_method(name, 2, 0)
+        # The deprecated make_method shim is gone; every old paper name must
+        # still build through make_paper_method, its replacement.
+        model = make_paper_method(name, n_clusters=2, seed=0)
         assert isinstance(model, BaseClusterer)

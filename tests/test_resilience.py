@@ -23,7 +23,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import time
 
 import numpy as np
@@ -275,7 +274,7 @@ class TestRecovery:
         reference.close()
 
     def test_sigkill_mid_fit_completes_identical_to_serial(
-        self, worker_fleet, fit_dataset
+        self, worker_fleet, fit_dataset, monkeypatch
     ):
         procs, hosts = worker_fleet
         serial = MGCPL(random_state=3, update_mode="batch").fit(fit_dataset)
@@ -283,15 +282,22 @@ class TestRecovery:
             n_shards=3, backend="tcp", hosts=hosts, random_state=3,
             backend_options={"max_retries": 3},
         )
-        killer = threading.Timer(
-            0.3, lambda: (procs[1].kill(), procs[1].wait(timeout=10))
-        )
-        killer.start()
-        try:
-            model.fit(fit_dataset)
-        finally:
-            killer.cancel()
+        # Kill at the third sweep, not after a fixed delay: the kill must
+        # land mid-fit however fast the fit runs.
+        sweeps = []
+        original_sweep = TCPExecutor.sweep
+
+        def sweep_then_kill(executor, broadcast):
+            sweeps.append(broadcast)
+            if len(sweeps) == 3:
+                procs[1].kill()
+                procs[1].wait(timeout=10)
+            return original_sweep(executor, broadcast)
+
+        monkeypatch.setattr(TCPExecutor, "sweep", sweep_then_kill)
+        model.fit(fit_dataset)
         assert procs[1].poll() is not None, "worker survived the whole fit"
+        assert len(sweeps) > 3, "the fit ended before the kill"
         np.testing.assert_array_equal(model.labels_, serial.labels_)
 
     def test_no_surviving_host_embeds_original_error(self, worker_fleet, small_clusters):

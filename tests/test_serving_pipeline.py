@@ -5,9 +5,10 @@ What must hold (ISSUE 7):
 * batched / pipelined predicts are **bit-identical** to sequential per-row
   predicts — including while an ingest stream races the batcher (every reply
   is some exact post-batch state, the final state is exactly the serial one);
-* the compact tagged frame layout round-trips exactly and fails *cleanly*
-  under fuzz (truncation, bad dtypes, trailing garbage) — ``TransportError``,
-  never a wedged session or batcher thread;
+* the frame layout round-trips exactly (a property test over dtypes, shapes,
+  views and array counts) and fails *cleanly* under fuzz (every truncation,
+  bad dtypes, trailing garbage, overflowing shapes, duplicate names) —
+  ``TransportError``, never a wedged session or batcher thread;
 * tag protocol violations (duplicate, unknown, out-of-order beyond the
   window, mid-pipeline disconnect) fail the affected futures and connection
   without taking the server down;
@@ -20,11 +21,14 @@ What must hold (ISSUE 7):
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.uci.registry import load_dataset
 from repro.distributed.codec import (
@@ -86,12 +90,50 @@ def model_file(vot_model, tmp_path):
 # ---------------------------------------------------------------------- #
 # Compact frame layout: round-trip and fuzz
 # ---------------------------------------------------------------------- #
+#: Every dtype the frame layout carries.
+WIRE_DTYPES = (np.int64, np.float64, np.int32, np.uint8, np.bool_)
+
+
+@st.composite
+def wire_messages(draw):
+    """A meta dict plus 0-6 named arrays: whitelisted dtypes, 0-4-d shapes
+    with zero-size dims, C-contiguous or strided/transposed views."""
+    meta = draw(st.dictionaries(
+        st.text(max_size=6).filter(lambda key: key not in ("kind", "__arrays__")),
+        st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+        max_size=3,
+    ))
+    names = draw(st.lists(
+        st.text(min_size=1, max_size=8).filter(lambda name: name not in ("kind", "meta")),
+        max_size=6, unique=True,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = {}
+    for name in names:
+        dtype = np.dtype(draw(st.sampled_from(WIRE_DTYPES)))
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
+        view = draw(st.sampled_from(("plain", "strided", "transposed")))
+        base_shape = shape[:-1] + (2 * shape[-1],) if view == "strided" and shape else shape
+        size = int(np.prod(base_shape))
+        if dtype == np.bool_:
+            base = rng.integers(0, 2, size=size).astype(bool)
+        else:
+            base = rng.integers(0, 256, size=size * dtype.itemsize, dtype=np.uint8).view(dtype)
+        array = base.reshape(base_shape)
+        if view == "strided" and shape:
+            array = array[..., ::2]
+        elif view == "transposed":
+            array = np.ascontiguousarray(array.T).T  # Fortran order, same shape
+        arrays[name] = array
+    return meta, arrays
+
+
 class TestCompactCodec:
     def test_roundtrip_supported_dtypes(self):
-        for dtype in (np.int64, np.float64, np.int32, np.uint8, np.bool_):
+        for dtype in WIRE_DTYPES:
             array = (np.arange(12) % 2 == 0).reshape(3, 4) \
                 if dtype is np.bool_ else np.arange(12, dtype=dtype).reshape(3, 4)
-            body = pack_compact("predict", {"tag": 7}, codes=array)
+            body = pack_message("predict", {"tag": 7}, codes=array)
             assert body.startswith(COMPACT_MAGIC)
             kind, meta, arrays = unpack_message(body)
             assert kind == "predict" and meta == {"tag": 7}
@@ -105,32 +147,53 @@ class TestCompactCodec:
             np.empty((0, 5), dtype=np.int64),  # empty batch
             np.arange(8, dtype=np.int64)[::2],  # non-contiguous view
         ):
-            kind, meta, arrays = unpack_message(pack_compact("x", {}, v=array))
+            kind, meta, arrays = unpack_message(pack_message("x", {}, v=array))
             assert kind == "x"
             np.testing.assert_array_equal(arrays["v"], np.asarray(array))
             assert arrays["v"].shape == np.asarray(array).shape
+        # Several arrays in one body, in order.
+        two = {"a": np.zeros(2, dtype=np.int64), "b": np.ones(2, dtype=np.int64)}
+        kind, meta, arrays = unpack_message(pack_message("k", {"m": 1}, **two))
+        assert kind == "k" and meta == {"m": 1} and list(arrays) == ["a", "b"]
+        for name, array in two.items():
+            np.testing.assert_array_equal(arrays[name], array)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wire_messages(), st.binary(min_size=1, max_size=1))
+    def test_roundtrip_and_every_damage_property(self, message, extra_byte):
+        meta, arrays = message
+        body = pack_message("k", meta, **arrays)
+        kind, got_meta, got = unpack_message(body)
+        assert kind == "k" and got_meta == meta and list(got) == list(arrays)
+        for name, array in arrays.items():
+            assert got[name].dtype == array.dtype
+            assert got[name].shape == array.shape
+            assert got[name].tobytes() == array.tobytes()
+            assert got[name].flags.writeable
+        for cut in range(len(body)):
+            with pytest.raises(TransportError):
+                unpack_message(body[:cut])
+        with pytest.raises(TransportError):
+            unpack_message(body + extra_byte)
 
     def test_no_array_body(self):
-        body = pack_compact("info", {"tag": 3})
+        body = pack_message("info", {"tag": 3})
         assert body.startswith(COMPACT_MAGIC)
         assert unpack_message(body) == ("info", {"tag": 3}, {})
 
-    def test_unsupported_payloads_fall_back_to_npz(self):
+    def test_unsupported_payloads_refused_at_the_sender(self):
         for kwargs in (
             {"a": np.zeros(3, dtype=np.float32)},           # dtype not listed
             {"a": np.zeros((1, 1, 1, 1, 1), dtype=np.int64)},  # ndim > 4
-            {"a": np.zeros(2, dtype=np.int64), "b": np.ones(2, dtype=np.int64)},
         ):
-            body = pack_compact("k", {"m": 1}, **kwargs)
-            assert not body.startswith(COMPACT_MAGIC)  # npz fallback
-            kind, meta, arrays = unpack_message(body)
-            assert kind == "k" and meta == {"m": 1}
-            assert set(arrays) == set(kwargs)
-            for name, array in kwargs.items():
-                np.testing.assert_array_equal(arrays[name], array)
+            with pytest.raises(TransportError, match="cannot send array 'a'"):
+                pack_message("k", {"m": 1}, **kwargs)
+
+    def test_older_name_is_the_same_encoder(self):
+        assert pack_compact is pack_message
 
     def test_every_truncation_fails_cleanly(self):
-        body = pack_compact(
+        body = pack_message(
             "predict", {"tag": 9}, codes=np.arange(20, dtype=np.int64).reshape(4, 5)
         )
         for cut in range(len(body)):
@@ -138,26 +201,40 @@ class TestCompactCodec:
                 unpack_message(body[:cut])
 
     def test_trailing_garbage_rejected(self):
-        body = pack_compact("predict", {"tag": 1}, codes=np.zeros(3, dtype=np.int64))
+        body = pack_message("predict", {"tag": 1}, codes=np.zeros(3, dtype=np.int64))
         with pytest.raises(TransportError):
             unpack_message(body + b"\x00")
 
     def test_unlisted_dtype_on_the_wire_rejected(self):
         # Hand-craft a frame claiming a dtype outside the whitelist: the
         # receiver must refuse it rather than np.frombuffer arbitrary bytes.
-        good = pack_compact("x", {}, v=np.zeros(2, dtype=np.int64))
+        good = pack_message("x", {}, v=np.zeros(2, dtype=np.int64))
         assert b"<i8" in good
         evil = good.replace(b"<i8", b"<f2")
         with pytest.raises(TransportError, match="dtype"):
             unpack_message(evil)
 
     def test_bad_meta_json_rejected(self):
-        import struct
-
         meta = b"{not json"
         body = COMPACT_MAGIC + struct.pack(">I", len(meta)) + meta + b"\x00\x00"
         with pytest.raises(TransportError, match="malformed compact frame"):
             unpack_message(body)
+
+    def test_shape_whose_size_overflows_int64_rejected(self):
+        # 2**31 * 2**31 * 4 elements: a wrapping int64 product used to turn
+        # this into a ValueError from reshape instead of a TransportError.
+        meta = b'{"kind": "x"}'
+        body = (COMPACT_MAGIC + struct.pack(">I", len(meta)) + meta
+                + b"\x01v\x03<i8\x03" + struct.pack(">3I", 2**31, 2**31, 4))
+        with pytest.raises(TransportError, match="truncated"):
+            unpack_message(body)
+
+    def test_duplicate_array_names_rejected(self):
+        body = pack_message("x", {}, a=np.zeros(2, dtype=np.int64),
+                            b=np.zeros(2, dtype=np.int64))
+        assert body.count(b"\x01b\x03") == 1
+        with pytest.raises(TransportError, match="duplicate array 'a'"):
+            unpack_message(body.replace(b"\x01b\x03", b"\x01a\x03"))
 
     def test_request_tag_validation(self):
         assert request_tag({}) is None
@@ -322,7 +399,7 @@ class TestPipelinedPredicts:
             for _ in range(3):
                 rude = ServingClient(server.address).connect()
                 for tag in range(10):
-                    send_frame(rude._sock, pack_compact(
+                    send_frame(rude._sock, pack_message(
                         "predict", {"tag": tag}, codes=_two_rows(vot)
                     ))
                 rude._sock.close()  # vanish with replies still owed
@@ -383,7 +460,7 @@ class TestTagViolations:
                 _, meta, _ = unpack_message(recv_frame(conn))
                 tags.append(meta["tag"])
             for tag in reversed(tags):
-                send_frame(conn, pack_compact(
+                send_frame(conn, pack_message(
                     "labels", {"tag": tag, "n": 1},
                     labels=np.asarray([tag], dtype=np.int64),
                 ))
@@ -402,7 +479,7 @@ class TestTagViolations:
     def test_unknown_tag_fails_all_outstanding(self):
         def reply_unknown(conn):
             recv_frame(conn)
-            send_frame(conn, pack_compact(
+            send_frame(conn, pack_message(
                 "labels", {"tag": 999, "n": 1},
                 labels=np.zeros(1, dtype=np.int64),
             ))
@@ -420,7 +497,7 @@ class TestTagViolations:
             _, meta, _ = unpack_message(recv_frame(conn))
             tag = meta["tag"]
             for _ in range(2):
-                send_frame(conn, pack_compact(
+                send_frame(conn, pack_message(
                     "labels", {"tag": tag, "n": 1},
                     labels=np.zeros(1, dtype=np.int64),
                 ))
@@ -692,6 +769,36 @@ class TestRouter:
                 )
                 with pytest.raises(TransportError, match="read-only fleet"):
                     client.ingest(vot.codes[:5])
+        finally:
+            if router is not None:
+                assert router.stop(timeout=10)
+            assert backend.stop(timeout=10)
+
+    def test_npz_hello_refused_with_a_clean_error(self, vot_model, vot):
+        # An .npz hello, as older builds sent it: an error frame, then EOF;
+        # the router keeps serving the next session.
+        import io
+        import json
+
+        backend = serve_model(vot_model)
+        router = None
+        try:
+            router = route_serving(replicas=[backend.address])
+            buffer = io.BytesIO()
+            np.savez(buffer, __meta__=np.asarray(json.dumps({
+                "kind": "hello", "protocol": SERVING_PROTOCOL_VERSION,
+                "service": SERVICE_NAME,
+            })))
+            host, port = router.address.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                send_frame(sock, buffer.getvalue())
+                kind, meta, _ = unpack_message(recv_frame(sock))
+                assert kind == "error" and "malformed frame" in meta["message"]
+                assert sock.recv(1) == b""  # the session ended
+            with ServingClient(router.address) as client:
+                np.testing.assert_array_equal(
+                    client.predict(vot.codes[:5]), vot_model.predict(vot.codes[:5])
+                )
         finally:
             if router is not None:
                 assert router.stop(timeout=10)

@@ -8,7 +8,7 @@ connections, workers dying mid-sweep, partial construction — surfaces as a
 clear :class:`TransportError` instead of a hang or a leak.
 
 ISSUE 5 added the adversarial half (``TestCodecFuzz``): truncated frames,
-oversized length prefixes, malformed npz/JSON bodies and mid-frame
+oversized length prefixes, malformed or ``.npz`` bodies and mid-frame
 disconnects must fail cleanly — on the worker server, on the serving server
 and on the clients — never hang, and never take the server down for the next
 session.  The whole file runs under a hard timeout.
@@ -504,26 +504,64 @@ class TestCodecFuzz:
         import io
 
         from repro.distributed.codec import unpack_message
+        from repro.serving import WriteAheadLog
 
         with pytest.raises(TransportError, match="malformed frame"):
             unpack_message(b"")  # empty body
         with pytest.raises(TransportError, match="malformed frame"):
             unpack_message(b"not an npz archive at all")
-        # a well-formed npz archive missing the __meta__ entry
+        # a well-formed npz body: the wire no longer speaks that layout
+        buffer = io.BytesIO()
+        np.savez(buffer, __meta__=np.asarray('{"kind": "hello"}'))
+        with pytest.raises(TransportError, match="malformed frame"):
+            unpack_message(buffer.getvalue())
+        # Only the legacy WAL decoder still reads npz bodies, and it too
+        # refuses malformed ones.  An archive missing the __meta__ entry:
         buffer = io.BytesIO()
         np.savez(buffer, data=np.arange(3))
         with pytest.raises(TransportError, match="malformed frame"):
-            unpack_message(buffer.getvalue())
+            WriteAheadLog.decode(buffer.getvalue())
         # __meta__ present but not JSON
         buffer = io.BytesIO()
         np.savez(buffer, __meta__=np.asarray("{this is not json"))
         with pytest.raises(TransportError, match="malformed frame"):
-            unpack_message(buffer.getvalue())
+            WriteAheadLog.decode(buffer.getvalue())
         # valid JSON object without a kind
         buffer = io.BytesIO()
         np.savez(buffer, __meta__=np.asarray('{"protocol": 1}'))
         with pytest.raises(TransportError, match="malformed frame"):
-            unpack_message(buffer.getvalue())
+            WriteAheadLog.decode(buffer.getvalue())
+        # a truncated archive
+        buffer = io.BytesIO()
+        np.savez(buffer, __meta__=np.asarray('{"kind": "wal"}'))
+        with pytest.raises(TransportError, match="malformed frame"):
+            WriteAheadLog.decode(buffer.getvalue()[:40])
+
+    def test_npz_hello_refused_with_a_clean_error(self, target):
+        """An ``.npz`` hello, as older builds sent it, is answered with an
+        error frame naming the malformed body; then the session ends."""
+        import io
+        import json
+
+        address, healthy = target
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            __meta__=np.asarray(json.dumps(
+                {"kind": "hello", "protocol": 2, "service": "repro-serving"}
+            )),
+            codes=np.zeros((4, 3), dtype=np.int64), ncat=np.full(3, 2),
+        )
+        sock = self._connect(address)
+        try:
+            rpc.send_frame(sock, buffer.getvalue())
+            kind, meta, _ = rpc.unpack_message(rpc.recv_frame(sock))
+            assert kind == "error"
+            assert "malformed frame" in meta["message"]
+            assert self._server_closed(sock)
+        finally:
+            sock.close()
+        healthy()
 
     # -- server side ------------------------------------------------------- #
     def test_truncated_frame_then_disconnect(self, target):
@@ -624,6 +662,29 @@ class TestCodecFuzz:
         finally:
             thread.join(timeout=5)
             listener.close()
+
+    def test_frame_reader_splits_a_burst_and_stops_mid_frame(self):
+        from repro.distributed import codec
+
+        left, right = socket.socketpair()
+        try:
+            bodies = [b"first", b"", b"third" * 1000]
+            codec.send_frame(left, *bodies)  # one sendall, three frames
+            reader = codec.FrameReader(right)
+            assert [reader.read() for _ in bodies] == bodies
+            # a stalled peer: one header byte, then silence
+            left.sendall(b"\x00")
+            assert reader.read(stop_requested=lambda: True, poll_interval=0.05) is None
+            # a length prefix over the cap is refused before any body arrives
+            left.sendall(struct.pack(">Q", 1 << 40)[1:])
+            with pytest.raises(TransportError, match="exceeds"):
+                reader.read()
+            left.close()
+            with pytest.raises(TransportError, match="peer closed"):
+                codec.FrameReader(right).read()
+        finally:
+            left.close()
+            right.close()
 
     def test_frame_cap_enforced_on_send(self, monkeypatch):
         from repro.distributed import codec

@@ -10,11 +10,15 @@ skipped by their recorded object counts; a successful snapshot rotates the
 log so it stays bounded; ``reload`` truncates it.  Also covered: the two
 PR 10 bugfixes — a post-apply snapshot failure must still ack the ingest
 (reported out-of-band via ``snapshot_failures``), and ``snapshot_interval=0``
-must be rejected instead of silently coerced to "disabled".
+must be rejected instead of silently coerced to "disabled".  Logs whose
+records are ``.npz`` bodies (written before the wire had one frame layout),
+alone or followed by new appends, still replay bit-identically.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import re
 import signal
@@ -469,6 +473,68 @@ class TestReplayEdgeCases:
         )
         with pytest.raises(TransportError, match="malformed log record"):
             ModelServer(model_file, wal=True)
+
+
+# ---------------------------------------------------------------------- #
+# Logs written before the single frame layout: npz record bodies
+# ---------------------------------------------------------------------- #
+def npz_wal_body(seq, base_n, codes, labels):
+    """A record body exactly as the former npz ``pack_message`` wrote it."""
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        __meta__=np.asarray(json.dumps({"kind": "wal", "seq": seq, "base_n": int(base_n)})),
+        codes=np.asarray(codes, dtype=np.int64),
+        labels=np.asarray(labels, dtype=np.int64),
+    )
+    return buffer.getvalue()
+
+
+def npz_log(model_file, batch_list):
+    """An npz-bodied WAL of ``batch_list`` against the model in ``model_file``."""
+    reference = load_model(model_file)
+    records = []
+    for seq, batch in enumerate(batch_list, start=1):
+        base_n = reference.labels_.shape[0]
+        records.append(wal_record(npz_wal_body(seq, base_n, batch, reference.ingest(batch))))
+    return b"".join(records)
+
+
+class TestLegacyNpzLog:
+    def test_npz_log_replays_bit_identically(self, vot, model_file):
+        batch_list = batches(vot, *BATCH_SLICES)
+        model_file.with_name(model_file.name + ".wal").write_bytes(
+            npz_log(model_file, batch_list)
+        )
+        server = ModelServer(model_file, wal=True)
+        assert server.wal_replayed_batches == 3
+        assert_states_identical(server.model, reference_fed(model_file, batch_list))
+
+    def test_mixed_log_replays_bit_identically(self, vot, model_file, tmp_path):
+        # npz records from before the upgrade, then appends in the frame
+        # layout by the recovered server: one log, two body layouts.
+        b1, b2, b3 = batches(vot, *BATCH_SLICES)
+        snap = tmp_path / "snap.npz"
+        snap.write_bytes(model_file.read_bytes())
+        wal_path = snap.with_name(snap.name + ".wal")
+        wal_path.write_bytes(npz_log(model_file, [b1, b2]))
+        server = ModelServer(snap, wal=True).start()
+        try:
+            assert server.wal_replayed_batches == 2
+            with ServingClient(server.address) as client:
+                client.ingest(b3)
+            mixed = wal_path.read_bytes()
+        finally:
+            assert server.stop(timeout=10)
+        bodies, clean = read_wal_records(mixed)
+        assert clean == len(mixed)
+        assert [body[:4] for body in bodies] == [b"PK\x03\x04"] * 2 + [b"RFC1"]
+        # Crash-restore: the pre-ingest snapshot beside the mixed log.
+        snap.write_bytes(model_file.read_bytes())
+        wal_path.write_bytes(mixed)
+        recovered = ModelServer(snap, wal=True)
+        assert recovered.wal_replayed_batches == 3
+        assert_states_identical(recovered.model, reference_fed(model_file, [b1, b2, b3]))
 
 
 # ---------------------------------------------------------------------- #
